@@ -2,6 +2,8 @@
 //
 //   build/bench/bench_obs [BENCH_obs.json]
 //
+// Exits 1 when either verdict below is FAIL (the JSON is still written).
+//
 // Four measurements:
 //   1. Hook costs in isolation (ns/op): cached-pointer Counter::Add and
 //      Histogram::Record (the enabled hot path — one relaxed atomic op),
@@ -188,10 +190,11 @@ int main(int argc, char** argv) {
                 render_ns, total);
   }
 
+  const bool hook_ok = null_span_ns <= 10.0;
+  const bool tracing_ok = overhead_pct < 10.0;
   std::printf("\nverdicts: disabled-path hook %s (<=10ns target), "
               "tracing overhead %s (<10%% of batch)\n",
-              null_span_ns <= 10.0 ? "PASS" : "FAIL",
-              overhead_pct < 10.0 ? "PASS" : "FAIL");
+              hook_ok ? "PASS" : "FAIL", tracing_ok ? "PASS" : "FAIL");
 
   if (argc > 1) {
     std::ofstream out(argv[1]);
@@ -212,5 +215,5 @@ int main(int argc, char** argv) {
     out << "}\n";
     std::printf("wrote %s\n", argv[1]);
   }
-  return 0;
+  return hook_ok && tracing_ok ? 0 : 1;
 }

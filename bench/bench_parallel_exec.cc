@@ -11,9 +11,13 @@
 // meaningful on a multi-core host; the tool records the visible CPU count
 // alongside the numbers.
 //
-// --quick is the CI smoke mode (tools/check.sh): a smaller fact table, plan
-// workloads only, single-threaded, asserting the vectorized path is at
-// least as fast as the row path on every workload (exit 1 otherwise).
+// --quick is the CI smoke mode (tools/check.sh): a smaller fact table,
+// single-threaded, asserting the vectorized path is at least as fast as the
+// row path on every plan workload, and that the probe batch (MQO cache and
+// tracing on, as the probe optimizer ships) runs every executed query on
+// the vectorized engine: `af.exec.vec.plans` rises by at least the number
+// of executed queries and `af.exec.vec.fallback_nodes` does not move (exit
+// 1 otherwise).
 
 #include <chrono>
 #include <cstdio>
@@ -28,6 +32,7 @@
 #include "common/thread_pool.h"
 #include "core/system.h"
 #include "exec/executor.h"
+#include "obs/metrics.h"
 #include "opt/rules.h"
 #include "plan/binder.h"
 #include "sql/parser.h"
@@ -107,11 +112,21 @@ double MeasurePlan(Fixture& fx, const std::string& sql, size_t threads,
 
 /// Probe-batch throughput: a speculation batch of `kProbes` distinct probes
 /// through the probe optimizer at a given batch_parallelism. Memory reuse
-/// and rewrites are disabled and the sub-plan cache dropped between reps so
-/// every repetition pays full execution cost.
+/// and sampling are disabled and the sub-plan cache dropped between reps so
+/// every repetition pays full execution cost; the MQO cache and tracing
+/// keep their defaults.
 constexpr size_t kProbes = 16;
 
-double MeasureProbeBatch(size_t parallelism) {
+struct ProbeBatchRun {
+  double probes_per_s = 0.0;
+  /// Deltas over the timed repetitions: queries the optimizer executed,
+  /// and the executor's vectorized-plan and row-fallback counters.
+  uint64_t executed = 0;
+  uint64_t vec_plans = 0;
+  uint64_t fallback_nodes = 0;
+};
+
+ProbeBatchRun MeasureProbeBatch(size_t parallelism) {
   AgentFirstSystem::Options options;
   options.optimizer.enable_memory = false;
   options.optimizer.enable_aqp = false;
@@ -145,7 +160,13 @@ double MeasureProbeBatch(size_t parallelism) {
     probes.push_back(std::move(probe));
   }
 
-  double best = 0.0;
+  auto& reg = obs::MetricsRegistry::Default();
+  obs::Counter* vec_plans = reg.GetCounter("af.exec.vec.plans");
+  obs::Counter* fallbacks = reg.GetCounter("af.exec.vec.fallback_nodes");
+  uint64_t executed_before = system.optimizer()->metrics().queries_executed;
+  uint64_t plans_before = vec_plans->value();
+  uint64_t fallbacks_before = fallbacks->value();
+  ProbeBatchRun run;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     system.optimizer()->InvalidateCaches();
     auto t0 = std::chrono::steady_clock::now();
@@ -153,11 +174,16 @@ double MeasureProbeBatch(size_t parallelism) {
     auto t1 = std::chrono::steady_clock::now();
     if (!responses.ok() || responses->size() != kProbes) {
       std::fprintf(stderr, "probe batch failed\n");
-      return 0.0;
+      return {};
     }
-    best = std::max(best, static_cast<double>(kProbes) / Seconds(t0, t1));
+    run.probes_per_s = std::max(run.probes_per_s,
+                                static_cast<double>(kProbes) / Seconds(t0, t1));
   }
-  return best;
+  run.executed =
+      system.optimizer()->metrics().queries_executed - executed_before;
+  run.vec_plans = vec_plans->value() - plans_before;
+  run.fallback_nodes = fallbacks->value() - fallbacks_before;
+  return run;
 }
 
 }  // namespace
@@ -192,7 +218,6 @@ int main(int argc, char** argv) {
   std::vector<size_t> thread_counts = kThreadCounts;
   size_t fact_rows = kFactRows;
   if (quick) {
-    workloads.pop_back();  // plan workloads only: this is an executor smoke
     thread_counts = {1};
     fact_rows = kQuickFactRows;
   }
@@ -201,14 +226,18 @@ int main(int argc, char** argv) {
   Fixture fx(fact_rows);
 
   // results_vec/row[w][t] = throughput (rows/s for plans, probes/s for the
-  // batch; the probe path owns its own options, so it has no row variant).
+  // batch; the probe path owns its own options, so its row entry repeats
+  // the served number and is left out of the JSON).
   std::vector<std::vector<double>> results_vec(workloads.size());
   std::vector<std::vector<double>> results_row(workloads.size());
+  ProbeBatchRun serial_batch;  // the probe batch at 1 thread
   for (size_t w = 0; w < workloads.size(); ++w) {
     for (size_t threads : thread_counts) {
       double vec, row;
       if (workloads[w].sql.empty()) {
-        vec = row = MeasureProbeBatch(threads);
+        ProbeBatchRun run = MeasureProbeBatch(threads);
+        if (threads == 1) serial_batch = run;
+        vec = row = run.probes_per_s;
       } else {
         row = MeasurePlan(fx, workloads[w].sql, threads, /*vectorized=*/false);
         vec = MeasurePlan(fx, workloads[w].sql, threads, /*vectorized=*/true);
@@ -255,6 +284,7 @@ int main(int argc, char** argv) {
     // the gate silently fell back to rows).
     bool ok = true;
     for (size_t w = 0; w < workloads.size(); ++w) {
+      if (workloads[w].sql.empty()) continue;  // probe batch: gated below
       if (results_vec[w][0] < results_row[w][0]) {
         std::fprintf(stderr,
                      "FAIL: %s vectorized %.3g rows/s < row path %.3g rows/s\n",
@@ -263,8 +293,23 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    std::printf("quick smoke: %s\n", ok ? "vec >= row on every workload"
-                                        : "vectorized regression");
+    // Probe-path gate: every query the optimizer executed ran on the
+    // vectorized engine, with no operator falling back to rows.
+    std::printf("probe batch: %llu queries executed, %llu vectorized plans, "
+                "%llu row fallbacks\n",
+                static_cast<unsigned long long>(serial_batch.executed),
+                static_cast<unsigned long long>(serial_batch.vec_plans),
+                static_cast<unsigned long long>(serial_batch.fallback_nodes));
+    if (serial_batch.executed == 0 ||
+        serial_batch.vec_plans < serial_batch.executed ||
+        serial_batch.fallback_nodes != 0) {
+      std::fprintf(stderr,
+                   "FAIL: the probe path fell back to the row path\n");
+      ok = false;
+    }
+    std::printf("quick smoke: %s\n",
+                ok ? "vec >= row on every workload, probes vectorized"
+                   : "vectorized regression");
     if (!ok) return 1;
   }
 
@@ -274,19 +319,24 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s for writing\n", out_path);
       return 1;
     }
+    // The probe batch has no row-path variant (the probe optimizer owns its
+    // execution options), so the row-path section lists plan workloads only.
     auto dump = [&](const char* key,
                     const std::vector<std::vector<double>>& results,
-                    bool trailing_comma) {
+                    bool plans_only, bool trailing_comma) {
       out << "  \"" << key << "\": {\n";
+      const char* sep = "";
       for (size_t w = 0; w < workloads.size(); ++w) {
-        out << "    \"" << workloads[w].key << "\": {";
+        if (plans_only && workloads[w].sql.empty()) continue;
+        out << sep << "    \"" << workloads[w].key << "\": {";
         for (size_t t = 0; t < thread_counts.size(); ++t) {
           out << "\"" << thread_counts[t] << "\": " << Num(results[w][t], 1);
           if (t + 1 < thread_counts.size()) out << ", ";
         }
-        out << "}" << (w + 1 < workloads.size() ? "," : "") << "\n";
+        out << "}";
+        sep = ",\n";
       }
-      out << "  }" << (trailing_comma ? "," : "") << "\n";
+      out << "\n  }" << (trailing_comma ? "," : "") << "\n";
     };
     out << "{\n  \"bench\": \"bench_parallel_exec\",\n";
     out << "  \"visible_cpus\": " << cpus << ",\n";
@@ -296,8 +346,10 @@ int main(int argc, char** argv) {
            "\"probes_per_sec\"},\n";
     // "throughput" stays the headline (vectorized = the default path), so
     // the perf trajectory across PRs reads as one continuous series.
-    dump("throughput", results_vec, /*trailing_comma=*/true);
-    dump("throughput_row_path", results_row, /*trailing_comma=*/false);
+    dump("throughput", results_vec, /*plans_only=*/false,
+         /*trailing_comma=*/true);
+    dump("throughput_row_path", results_row, /*plans_only=*/true,
+         /*trailing_comma=*/false);
     out << "}\n";
     std::printf("wrote %s\n", out_path);
   }

@@ -127,8 +127,6 @@ ResidencyResult MeasureResidency(double residency, size_t rows) {
 
   Engine engine(&catalog);
   ExecOptions eo;
-  eo.cache_subplans = false;
-  eo.cache = nullptr;
   out.seconds = 1e30;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     uint64_t faults_before = FaultsNow();

@@ -2,7 +2,9 @@
 #define AGENTFIRST_EXEC_EXEC_INTERNAL_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include "common/cancellation.h"
@@ -13,6 +15,8 @@
 #include "exec/executor.h"
 #include "exec/result_set.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "plan/logical_plan.h"
 #include "types/value.h"
 
 /// Shared internals of the row and vectorized execution paths. Everything
@@ -235,6 +239,21 @@ inline void CarryTruncation(const ResultSet& in, ResultSet* out) {
 
 inline bool UseParallel(const ExecOptions& options, size_t num_rows) {
   return options.num_threads > 1 && num_rows >= kMinParallelRows;
+}
+
+/// Appends one operator's `op:<kind>` span under `trace` with its output
+/// row count and its inclusive wall time since `start`. Both paths record
+/// through this, so a traced plan has the same flat, post-order span shape
+/// whichever engine ran each operator.
+inline void AddOpSpan(obs::TraceSpan* trace, PlanKind kind,
+                      std::chrono::steady_clock::time_point start, size_t rows,
+                      bool truncated) {
+  obs::TraceSpan* span = trace->AddChild(std::string("op:") + PlanKindName(kind));
+  span->duration_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  span->AddNote("rows", std::to_string(rows));
+  if (truncated) span->AddNote("truncated", "true");
 }
 
 /// Serial-loop budget tracker mirroring the parallel paths' accounting.

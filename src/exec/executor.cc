@@ -821,17 +821,37 @@ Result<ResultSetPtr> ExecSort(const PlanNode& node, const ExecOptions& options,
   out->approximate = input->approximate;
   out->sample_rate = input->sample_rate;
   CarryTruncation(*input, out.get());
-  out->rows = input->rows;
-  std::stable_sort(out->rows.begin(), out->rows.end(),
-                   [&](const Row& a, const Row& b) {
-                     for (const SortKey& key : node.sort_keys) {
-                       Value va = EvalExpr(*key.expr, a);
-                       Value vb = EvalExpr(*key.expr, b);
-                       int c = va.Compare(vb);
-                       if (c != 0) return key.ascending ? c < 0 : c > 0;
-                     }
-                     return false;
-                   });
+  // Evaluate every sort key once per row, stable-sort row indexes over the
+  // precomputed keys, then gather: the same permutation a stable sort of
+  // the rows themselves produces.
+  const size_t n = input->rows.size();
+  const size_t nkeys = node.sort_keys.size();
+  std::vector<Value> keys(n * nkeys);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < nkeys; ++k) {
+      keys[i * nkeys + k] = EvalExpr(*node.sort_keys[k].expr, input->rows[i]);
+    }
+  }
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    for (size_t k = 0; k < nkeys; ++k) {
+      int c = keys[a * nkeys + k].Compare(keys[b * nkeys + k]);
+      if (c != 0) return node.sort_keys[k].ascending ? c < 0 : c > 0;
+    }
+    return false;
+  });
+  // A use count of 1 means nothing else aliases the input, so rows move.
+  bool unique_input = input.use_count() == 1;
+  auto& in_rows = const_cast<ResultSet*>(input.get())->rows;
+  out->rows.reserve(n);
+  for (size_t i : order) {
+    if (unique_input) {
+      out->rows.push_back(std::move(in_rows[i]));
+    } else {
+      out->rows.push_back(in_rows[i]);
+    }
+  }
   return out;
 }
 
@@ -879,22 +899,16 @@ Result<ResultSetPtr> ExecUnion(const PlanNode& node, const ExecOptions& options,
   return out;
 }
 
-Result<ResultSetPtr> ExecNode(const PlanNode& node, const ExecOptions& options,
-                              InterruptCtx& ctx) {
-  // A hard interrupt (cancel / injected fault) surfaces before any child
-  // work; a soft trip still descends so drain-mode operators can finish
-  // assembling the partial answer.
-  if (ctx.Check() && !ctx.soft_stopped()) {
-    AF_RETURN_IF_ERROR(ctx.TakeError());
-  }
-  // Vectorized fast path: batch-convertible sub-trees run end-to-end on
-  // typed columnar kernels with byte-identical results. Only taken when no
-  // result cache (MQO hit accounting), trace (span-per-operator trees), or
-  // sampling is in play — those features observe per-operator row results,
-  // so they stay on the row path.
-  if (options.vectorized && options.cache == nullptr &&
-      options.trace == nullptr && options.sample_rate >= 1.0) {
+/// Runs `node` without consulting the cache: the whole sub-tree on the
+/// vectorized engine when it converts, else this one operator on the row
+/// path (whose children re-enter ExecNode and re-gate individually).
+Result<ResultSetPtr> ExecUncached(const PlanNode& node,
+                                  const ExecOptions& options,
+                                  InterruptCtx& ctx) {
+  if (options.vectorized) {
     if (vec::CanVectorize(node)) {
+      size_t spans_before =
+          options.trace != nullptr ? options.trace->children.size() : 0;
       Result<ResultSetPtr> vres = vec::ExecuteVectorized(node, options, ctx);
       if (vres.ok() ||
           vres.status().code() != StatusCode::kResourceExhausted) {
@@ -907,23 +921,14 @@ Result<ResultSetPtr> ExecNode(const PlanNode& node, const ExecOptions& options,
       // not turn that contract into a hard failure: clear the attempt's
       // fault trip and re-run this subtree row-at-a-time. (A concurrent
       // deadline/budget trip survives ClearFault, so the rerun drains into
-      // the usual truncated partial.)
+      // the usual truncated partial.) The abandoned attempt's operator
+      // spans go too, so the trace holds one span per operator that ran.
+      if (options.trace != nullptr) {
+        options.trace->children.resize(spans_before);
+      }
       ctx.ClearFault();
     }
     Metrics().vec_fallbacks->Increment();
-  }
-  uint64_t key = 0;
-  if (options.cache != nullptr) {
-    key = CacheKey(node, options);
-    if (ResultSetPtr cached = options.cache->Get(key); cached != nullptr) {
-      if (options.trace != nullptr) {
-        obs::TraceSpan* span = options.trace->AddChild(
-            std::string("op:") + PlanKindName(node.kind));
-        span->AddNote("cached", "true");
-        span->AddNote("rows", std::to_string(cached->rows.size()));
-      }
-      return cached;
-    }
   }
   // Tracing disabled (the default) costs exactly this one branch per
   // operator; enabled, it costs two clock reads plus one span append.
@@ -947,16 +952,37 @@ Result<ResultSetPtr> ExecNode(const PlanNode& node, const ExecOptions& options,
   if (options.trace != nullptr && result.ok()) {
     // Children recurse inside the switch, so operator spans land in
     // deterministic post-order (a subtree's ops precede its root's).
-    obs::TraceSpan* span =
-        options.trace->AddChild(std::string("op:") + PlanKindName(node.kind));
-    span->duration_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - op_start)
-                            .count();
-    span->AddNote("rows", std::to_string((*result)->rows.size()));
-    if ((*result)->truncated) span->AddNote("truncated", "true");
+    exec_internal::AddOpSpan(options.trace, node.kind, op_start,
+                             (*result)->rows.size(), (*result)->truncated);
   }
-  if (result.ok() && options.cache != nullptr && options.cache_subplans &&
-      !(*result)->truncated) {
+  return result;
+}
+
+Result<ResultSetPtr> ExecNode(const PlanNode& node, const ExecOptions& options,
+                              InterruptCtx& ctx) {
+  // A hard interrupt (cancel / injected fault) surfaces before any child
+  // work; a soft trip still descends so drain-mode operators can finish
+  // assembling the partial answer.
+  if (ctx.Check() && !ctx.soft_stopped()) {
+    AF_RETURN_IF_ERROR(ctx.TakeError());
+  }
+  // The cache sits at ExecNode boundaries: every row-path operator, and the
+  // root of each vectorized sub-tree (its interior never materializes rows).
+  uint64_t key = 0;
+  if (options.cache != nullptr) {
+    key = CacheKey(node, options);
+    if (ResultSetPtr cached = options.cache->Get(key); cached != nullptr) {
+      if (options.trace != nullptr) {
+        obs::TraceSpan* span = options.trace->AddChild(
+            std::string("op:") + PlanKindName(node.kind));
+        span->AddNote("cached", "true");
+        span->AddNote("rows", std::to_string(cached->rows.size()));
+      }
+      return cached;
+    }
+  }
+  Result<ResultSetPtr> result = ExecUncached(node, options, ctx);
+  if (result.ok() && options.cache != nullptr && !(*result)->truncated) {
     // Truncated results are partial answers for THIS probe's deadline or
     // budget; caching them would poison exact re-executions.
     Status put_fault = AF_FAULT_STATUS("exec.cache.put");

@@ -88,10 +88,11 @@ struct ExecOptions {
   /// Seed for the sampler (deterministic given plan + seed).
   uint64_t sample_seed = 42;
   /// Optional shared sub-plan cache (multi-query optimization). Not owned.
+  /// Looked up and filled at every row-path operator and at the root of
+  /// every vectorized sub-tree (whose interior operators never materialize
+  /// rows), keyed by plan fingerprint plus sampling rate and seed.
+  /// Truncated results are never cached.
   ExecCache* cache = nullptr;
-  /// When set, caches every operator's result, not just the root's
-  /// (enables cross-query sub-plan sharing at memory cost).
-  bool cache_subplans = true;
   /// Horvitz-Thompson scaling: when scans are sampled, COUNT and SUM
   /// aggregates are scaled by 1/sample_rate (DISTINCT aggregates and
   /// MIN/MAX/AVG are left unscaled). Disable to observe raw sample values.
@@ -121,17 +122,18 @@ struct ExecOptions {
   CancellationToken cancel;
   /// When set, one `op:<kind>` child span is appended under this span per
   /// executed operator (flat, post-order) carrying its output rows, cache
-  /// status, and wall time. Not owned; must outlive the call. One plan
-  /// execution per span — the recording is not synchronized at all across
-  /// plans. nullptr (the default) disables tracing at the cost of one branch.
+  /// status, and inclusive wall time. Both engines record the same spans,
+  /// so tracing never changes which engine runs. Not owned; must outlive
+  /// the call. One plan execution per span — the recording is not
+  /// synchronized at all across plans. nullptr (the default) disables
+  /// tracing at the cost of one branch per operator.
   obs::TraceSpan* trace = nullptr;
-  /// Run batch-convertible sub-plans through the vectorized engine (typed
-  /// columnar kernels + per-query arena; see DESIGN.md "Vectorized execution
-  /// & memory"). Results are byte-identical to the row path — this is purely
-  /// a performance knob, kept toggleable so the parity tests can diff both
-  /// paths. The vectorized path only engages when no result cache, trace, or
-  /// sampling is configured; otherwise execution transparently stays on the
-  /// row path.
+  /// Run every batch-convertible sub-plan (vec::CanVectorize) through the
+  /// vectorized engine (typed columnar kernels + per-query arena; see
+  /// DESIGN.md "Vectorized execution & memory"), with or without a cache,
+  /// a trace, or sampling. Results are byte-identical to the row path —
+  /// this is purely a performance knob, kept toggleable so the parity tests
+  /// can diff both paths.
   bool vectorized = true;
 };
 

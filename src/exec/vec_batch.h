@@ -67,9 +67,13 @@ struct VecBatch {
 /// A fully produced vectorized operator output: the static column types plus
 /// one batch per input morsel (batch boundaries mirror storage segments /
 /// kRowMorselSize, so parallel production merges deterministically).
+/// `approximate` / `sample_rate` follow ResultSet's meaning: set by sampled
+/// scans and carried up through every operator.
 struct VecResult {
   std::vector<DataType> types;
   std::vector<VecBatch> batches;
+  bool approximate = false;
+  double sample_rate = 1.0;
 
   size_t TotalActiveRows() const {
     size_t n = 0;

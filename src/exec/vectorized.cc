@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -13,6 +14,7 @@
 #include "common/arena.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "exec/evaluator.h"
 #include "exec/vec_batch.h"
 #include "storage/buffer_pool.h"
@@ -396,6 +398,17 @@ Status ExecVecScan(const PlanNode& node, VecExec& ex, VecResult* out) {
   }
   // A scan reached after the plan already tripped produces no new data.
   if (ex.ctx.Check()) return ex.ctx.TakeError();
+  const double rate = ex.options.sample_rate;
+  const bool sampling = rate < 1.0;
+  if (sampling) {
+    out->approximate = true;
+    out->sample_rate = rate;
+  }
+  // The row path's sampler, draw for draw: seeded per table so scans in one
+  // plan decorrelate, one Bernoulli draw per stored row in segment order,
+  // taken before the filter. The stream runs across segment boundaries, so
+  // sampled scans stay serial.
+  Rng rng(ex.options.sample_seed ^ HashString(node.table_name));
   const size_t nseg = table.NumSegments();
   out->batches.assign(nseg, VecBatch{});
   BatchBudget budget(ex.ctx);
@@ -404,7 +417,8 @@ Status ExecVecScan(const PlanNode& node, VecExec& ex, VecResult* out) {
   // the scan so the zero-copy views below outlive eviction.
   storage::PinnedSegments pins(nseg);
   // One batch per storage segment, built zero-copy over the column spans.
-  // Returns false on arena exhaustion (only possible with a scan filter).
+  // Returns false on arena exhaustion (only possible with a scan filter or
+  // sampling).
   auto scan_segment = [&](size_t s) -> bool {
     Result<storage::SegmentPin> pin = table.PinSegment(s);
     if (!pin.ok()) {
@@ -418,6 +432,16 @@ Status ExecVecScan(const PlanNode& node, VecExec& ex, VecResult* out) {
     b.cols.reserve(seg.NumColumns());
     for (size_t c = 0; c < seg.NumColumns(); ++c) {
       b.cols.push_back(ColView(seg.column(c)));
+    }
+    if (sampling) {
+      uint32_t* sel = ex.arena->AllocateArrayOf<uint32_t>(b.num_rows);
+      if (sel == nullptr) return false;
+      size_t count = 0;
+      for (size_t i = 0; i < b.num_rows; ++i) {
+        if (rng.NextBool(rate)) sel[count++] = static_cast<uint32_t>(i);
+      }
+      b.sel = sel;
+      b.sel_size = count;
     }
     if (node.scan_filter != nullptr) {
       const uint32_t* sel = nullptr;
@@ -439,7 +463,7 @@ Status ExecVecScan(const PlanNode& node, VecExec& ex, VecResult* out) {
       if (p.valid()) ex.pins->push_back(std::move(p));
     }
   };
-  if (UseParallel(ex.options, table.NumRows()) && nseg > 1) {
+  if (!sampling && UseParallel(ex.options, table.NumRows()) && nseg > 1) {
     PoolFor(ex.options)->ParallelFor(
         0, nseg,
         [&](size_t begin, size_t end) {
@@ -532,6 +556,8 @@ Status ExecVecFilter(const PlanNode& node, VecExec& ex, VecResult* out) {
 Status ExecVecProject(const PlanNode& node, VecExec& ex, VecResult* out) {
   VecResult input;
   AF_RETURN_IF_ERROR(ExecVecNode(*node.children[0], ex, &input));
+  out->approximate = input.approximate;
+  out->sample_rate = input.sample_rate;
   out->types.clear();
   for (const auto& e : node.project_exprs) {
     out->types.push_back(InferExprType(*e, input.types).value_or(DataType::kNull));
@@ -594,6 +620,8 @@ Status ExecVecHashJoin(const PlanNode& node, VecExec& ex, VecResult* out) {
   VecResult left, right;
   AF_RETURN_IF_ERROR(ExecVecNode(*node.children[0], ex, &left));
   AF_RETURN_IF_ERROR(ExecVecNode(*node.children[1], ex, &right));
+  out->approximate = left.approximate || right.approximate;
+  out->sample_rate = std::min(left.sample_rate, right.sample_rate);
   out->types.assign(left.types.begin(), left.types.end());
   out->types.insert(out->types.end(), right.types.begin(), right.types.end());
 
@@ -749,6 +777,8 @@ struct VAggState {
 Status ExecVecAggregate(const PlanNode& node, VecExec& ex, VecResult* out) {
   VecResult input;
   AF_RETURN_IF_ERROR(ExecVecNode(*node.children[0], ex, &input));
+  out->approximate = input.approximate;
+  out->sample_rate = input.sample_rate;
   size_t ngroup = node.group_by.size();
   size_t naggs = node.aggregates.size();
   std::vector<DataType> arg_types(naggs, DataType::kNull);
@@ -885,9 +915,15 @@ Status ExecVecAggregate(const PlanNode& node, VecExec& ex, VecResult* out) {
       return ArenaExhausted();
     }
   }
-  // Aggregate output columns, replicating the row path's finalize exactly
-  // (vectorized execution never runs sampled, so the Horvitz-Thompson scale
-  // is always 1.0 — but the llround round-trip is kept for bit parity).
+  // Aggregate output columns, replicating the row path's finalize exactly,
+  // Horvitz-Thompson scale for sampled inputs included (DISTINCT never
+  // reaches this engine, so every COUNT and SUM scales; the llround
+  // round-trip runs even at scale 1.0, as on the row path).
+  double scale = 1.0;
+  if (input.approximate && input.sample_rate > 0.0 &&
+      input.sample_rate < 1.0 && ex.options.scale_approximate_aggregates) {
+    scale = 1.0 / input.sample_rate;
+  }
   for (size_t a = 0; a < naggs; ++a) {
     const AggregateExpr& agg = node.aggregates[a];
     VecColumn& col = ob.cols[ngroup + a];
@@ -901,8 +937,8 @@ Status ExecVecAggregate(const PlanNode& node, VecExec& ex, VecResult* out) {
         if (data == nullptr) return ArenaExhausted();
         for (size_t g = 0; g < n; ++g) {
           valid[g] = 1;
-          data[g] = static_cast<int64_t>(
-              std::llround(static_cast<double>(groups[g].states[a].count)));
+          data[g] = static_cast<int64_t>(std::llround(
+              static_cast<double>(groups[g].states[a].count) * scale));
         }
         col.i64 = data;
         break;
@@ -915,8 +951,10 @@ Status ExecVecAggregate(const PlanNode& node, VecExec& ex, VecResult* out) {
             const VAggState& st = groups[g].states[a];
             valid[g] = st.any ? 1 : 0;
             data[g] = st.any
-                          ? static_cast<int64_t>(std::llround(static_cast<double>(
-                                static_cast<int64_t>(st.sum_int))))
+                          ? static_cast<int64_t>(std::llround(
+                                static_cast<double>(
+                                    static_cast<int64_t>(st.sum_int)) *
+                                scale))
                           : 0;
           }
           col.i64 = data;
@@ -926,7 +964,7 @@ Status ExecVecAggregate(const PlanNode& node, VecExec& ex, VecResult* out) {
           for (size_t g = 0; g < n; ++g) {
             const VAggState& st = groups[g].states[a];
             valid[g] = st.any ? 1 : 0;
-            data[g] = st.any ? st.sum_double : 0.0;
+            data[g] = st.any ? st.sum_double * scale : 0.0;
           }
           col.f64 = data;
         }
@@ -991,16 +1029,28 @@ Status ExecVecAggregate(const PlanNode& node, VecExec& ex, VecResult* out) {
 }
 
 Status ExecVecNode(const PlanNode& node, VecExec& ex, VecResult* out) {
-  switch (node.kind) {
-    case PlanKind::kScan: return ExecVecScan(node, ex, out);
-    case PlanKind::kFilter: return ExecVecFilter(node, ex, out);
-    case PlanKind::kProject: return ExecVecProject(node, ex, out);
-    case PlanKind::kHashJoin: return ExecVecHashJoin(node, ex, out);
-    case PlanKind::kAggregate: return ExecVecAggregate(node, ex, out);
-    default:
-      return Status::Internal("operator is not vectorized: " +
-                              std::string(PlanKindName(node.kind)));
+  std::chrono::steady_clock::time_point start;
+  if (ex.options.trace != nullptr) start = std::chrono::steady_clock::now();
+  Status status = [&] {
+    switch (node.kind) {
+      case PlanKind::kScan: return ExecVecScan(node, ex, out);
+      case PlanKind::kFilter: return ExecVecFilter(node, ex, out);
+      case PlanKind::kProject: return ExecVecProject(node, ex, out);
+      case PlanKind::kHashJoin: return ExecVecHashJoin(node, ex, out);
+      case PlanKind::kAggregate: return ExecVecAggregate(node, ex, out);
+      default:
+        return Status::Internal("operator is not vectorized: " +
+                                std::string(PlanKindName(node.kind)));
+    }
+  }();
+  // Children run inside the switch, so spans land in the row path's
+  // post-order. An operator's output is truncated exactly when the plan has
+  // soft-tripped by the time it finishes (trips are sticky).
+  if (status.ok() && ex.options.trace != nullptr) {
+    exec_internal::AddOpSpan(ex.options.trace, node.kind, start,
+                             out->TotalActiveRows(), ex.ctx.soft_stopped());
   }
+  return status;
 }
 
 /// Boundary conversion: materialize one batch's active rows as row-path
@@ -1070,6 +1120,8 @@ Result<ResultSetPtr> ExecuteVectorized(const PlanNode& node,
   // kResourceExhausted error, which ExecNode catches and retries on the row
   // path — callers of the engine only ever see max_bytes behave as the
   // documented output budget (truncation, not failure).
+  std::chrono::steady_clock::time_point start;
+  if (options.trace != nullptr) start = std::chrono::steady_clock::now();
   MemoryTracker tracker(options.limits.max_bytes.value_or(0));
   Arena arena(&tracker);
   // Scanned segments stay pinned (resident) until the batches' zero-copy
@@ -1081,9 +1133,19 @@ Result<ResultSetPtr> ExecuteVectorized(const PlanNode& node,
   AF_RETURN_IF_ERROR(ctx.TakeError());
   auto out = std::make_shared<ResultSet>();
   out->schema = node.output_schema;
+  out->approximate = res.approximate;
+  out->sample_rate = res.sample_rate;
   out->rows.reserve(res.TotalActiveRows());
   for (const VecBatch& b : res.batches) AppendBatchRows(b, &out->rows);
   StampTruncation(ctx, out.get());
+  if (options.trace != nullptr) {
+    // The root's span (the last one recorded) also covers the batch-to-row
+    // materialization above, as each row-path span covers its own rows.
+    options.trace->children.back()->duration_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+  }
   Metrics().vec_plans->Increment();
   Metrics().arena_bytes->Add(arena.allocated_bytes());
   return ResultSetPtr(std::move(out));

@@ -19,7 +19,9 @@ bool CanVectorize(const PlanNode& node);
 /// Executes a CanVectorize() sub-plan end-to-end on columnar batches with a
 /// per-query arena, materializing rows only at the root boundary. The result
 /// is byte-identical to the row path: same values, same order, same
-/// truncation semantics at morsel (= batch) granularity. `ctx` is the same
+/// truncation semantics at morsel (= batch) granularity, the same sampled
+/// rows and Horvitz-Thompson scaling under `options.sample_rate`, and the
+/// same `op:<kind>` spans under `options.trace`. `ctx` is the same
 /// interrupt context the row path threads through its operators, so
 /// deadlines, cancellation, output budgets, and injected faults behave
 /// uniformly across both paths. The arena is capped by

@@ -43,7 +43,6 @@ std::vector<Result<ResultSetPtr>> BatchExecutor::ExecuteBatch(
 
   ExecOptions options = caller_options;
   options.cache = &cache_;
-  options.cache_subplans = true;
 
   std::vector<Result<ResultSetPtr>> results;
   results.reserve(plans.size());
@@ -77,7 +76,6 @@ std::vector<Result<ResultSetPtr>> BatchExecutor::ExecuteBatchParallel(
 
   ExecOptions options = caller_options;
   options.cache = &cache_;
-  options.cache_subplans = true;
 
   std::vector<Result<ResultSetPtr>> results(
       plans.size(), Result<ResultSetPtr>(Status::Internal("not executed")));

@@ -41,11 +41,11 @@ class BatchExecutor {
 
   /// Like the above, but with caller-supplied execution options (deadline,
   /// cancellation, budgets, sampling) layered over this executor's cache.
-  /// The cache / cache_subplans fields of `options` are overridden so the
-  /// batch still shares sub-plan results. If `options.cancel` trips, plans
-  /// not yet started return kCancelled immediately instead of executing —
-  /// batch-level cancellation stops within one plan (and, inside a running
-  /// plan, within one morsel).
+  /// The cache field of `options` is overridden so the batch still shares
+  /// sub-plan results. If `options.cancel` trips, plans not yet started
+  /// return kCancelled immediately instead of executing — batch-level
+  /// cancellation stops within one plan (and, inside a running plan, within
+  /// one morsel).
   std::vector<Result<ResultSetPtr>> ExecuteBatch(
       const std::vector<PlanPtr>& plans, const ExecOptions& options);
 

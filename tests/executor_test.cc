@@ -170,6 +170,18 @@ TEST_F(ExecutorTest, OrderByNullsFirst) {
   EXPECT_EQ(rs->rows[1][0].int_value(), 19);
 }
 
+TEST_F(ExecutorTest, OrderByMixedDirectionsWithNullsIsStable) {
+  Run("INSERT INTO people VALUES (6,'fay',NULL,'oakland'), (7,'gus',28,NULL),"
+      "(8,'hal',28,'oakland')");
+  // NULL ranks lowest: last under DESC, first under ASC. Full ties (bob and
+  // hal) keep their input order.
+  auto rs = Run("SELECT id, age, city FROM people ORDER BY age DESC, city ASC");
+  ASSERT_EQ(rs->NumRows(), 8u);
+  std::vector<int64_t> ids;
+  for (const Row& row : rs->rows) ids.push_back(row[0].int_value());
+  EXPECT_EQ(ids, (std::vector<int64_t>{3, 1, 7, 2, 8, 4, 5, 6}));
+}
+
 TEST_F(ExecutorTest, LimitOffset) {
   auto rs = Run("SELECT id FROM people ORDER BY id LIMIT 2 OFFSET 2");
   ASSERT_EQ(rs->NumRows(), 2u);

@@ -560,7 +560,6 @@ TEST(PooledTableTest, QueriesByteIdenticalToUnpooledAcrossThreads) {
       ExecOptions eo;
       eo.vectorized = vectorized;
       eo.num_threads = threads;
-      eo.cache_subplans = false;
       for (const char* q : queries) {
         auto expect = ref_engine.ExecuteSql(q, eo);
         AF_ASSERT_OK_RESULT(expect);

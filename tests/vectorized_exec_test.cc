@@ -26,68 +26,9 @@
 namespace agentfirst {
 namespace {
 
+using testing_util::BuildBigDb;
 using testing_util::BuildPeopleDb;
-
-::testing::AssertionResult ExactlyEqual(const ResultSet& a,
-                                        const ResultSet& b) {
-  if (a.rows.size() != b.rows.size()) {
-    return ::testing::AssertionFailure()
-           << "row count " << a.rows.size() << " vs " << b.rows.size();
-  }
-  if (a.truncated != b.truncated || a.interrupt != b.interrupt) {
-    return ::testing::AssertionFailure() << "truncation metadata differs";
-  }
-  if (a.schema.NumColumns() != b.schema.NumColumns()) {
-    return ::testing::AssertionFailure() << "schema width differs";
-  }
-  for (size_t r = 0; r < a.rows.size(); ++r) {
-    if (a.rows[r].size() != b.rows[r].size()) {
-      return ::testing::AssertionFailure() << "row " << r << " width differs";
-    }
-    for (size_t c = 0; c < a.rows[r].size(); ++c) {
-      if (!(a.rows[r][c] == b.rows[r][c])) {
-        return ::testing::AssertionFailure()
-               << "row " << r << " col " << c << ": "
-               << a.rows[r][c].ToString() << " vs " << b.rows[r][c].ToString();
-      }
-      if (a.rows[r][c].type() != b.rows[r][c].type()) {
-        return ::testing::AssertionFailure()
-               << "row " << r << " col " << c << " type differs";
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
-/// 5000 rows over 5 segments, all four scalar types plus a NULL-bearing
-/// column, with enough value skew to make filters selective and groups
-/// uneven. Plus a small dimension table for joins (including keys that miss
-/// and duplicate build rows).
-void BuildBigDb(Engine* engine) {
-  auto run = [&](const std::string& sql) {
-    auto r = engine->ExecuteSql(sql);
-    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
-  };
-  run("CREATE TABLE big (id BIGINT, v DOUBLE, name VARCHAR, flag BOOLEAN, "
-      "n BIGINT)");
-  for (int chunk = 0; chunk < 10; ++chunk) {
-    std::string insert = "INSERT INTO big VALUES ";
-    for (int i = 0; i < 500; ++i) {
-      int id = chunk * 500 + i;
-      if (i > 0) insert += ",";
-      insert += "(" + std::to_string(id) + "," +
-                std::to_string((id * 37) % 1000) + ".25,'g" +
-                std::to_string(id % 7) + "'," +
-                (id % 3 == 0 ? "TRUE" : "FALSE") + "," +
-                (id % 5 == 0 ? "NULL" : std::to_string(id % 11)) + ")";
-    }
-    run(insert);
-  }
-  run("CREATE TABLE dim (k BIGINT, label VARCHAR)");
-  run("INSERT INTO dim VALUES (0,'zero'), (1,'one'), (2,'two'), (3,'three'),"
-      "(4,'four'), (2,'dos'), (99,'unreachable'), (NULL,'nokey')");
-  run("CREATE TABLE void (x BIGINT, y DOUBLE)");
-}
+using testing_util::ExactlyEqual;
 
 class VectorizedParityTest : public ::testing::TestWithParam<size_t> {
  protected:

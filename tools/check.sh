@@ -18,10 +18,12 @@
 #                       boots the server on an ephemeral loopback port,
 #                       drives it with afprobe, then runs net_test and
 #                       fuzz_wire_test under the same TSan build
-#   7. vectorized     — row/vec parity + thread-count determinism under the
-#                       same TSan build, then the bench smoke
-#                       (bench_parallel_exec --quick), which fails if the
-#                       vectorized path is ever slower than the row path
+#   7. vectorized     — row/vec parity, thread-count determinism and the
+#                       probe-path suite (cache, trace, sampling on the
+#                       vectorized engine) under the same TSan build, then
+#                       the bench smoke (bench_parallel_exec --quick), which
+#                       fails if the vectorized path is ever slower than the
+#                       row path or if a probe batch falls back to rows
 #   8. durability     — the WAL kill-and-recover torture (wal_test) under
 #                       AddressSanitizer via tools/run_sanitized.sh: every
 #                       injected crash site must recover to a committed
@@ -144,12 +146,15 @@ if [[ "$run_tests" == "1" ]]; then
   # kernels' lock-free morsel claiming is wrong in a way plain runs can
   # miss. Reuses the stage-5 TSan build tree.
   cmake --build build-tsan -j "$(nproc)" \
-        --target vectorized_exec_test parallel_determinism_test > /dev/null
+        --target vectorized_exec_test parallel_determinism_test \
+        probe_path_test > /dev/null
   ./build-tsan/tests/vectorized_exec_test
   ./build-tsan/tests/parallel_determinism_test
+  ./build-tsan/tests/probe_path_test
   # Perf gate: the vectorized path must beat the row path on its own
-  # workloads (scan+filter, hash join, aggregate); --quick exits non-zero
-  # on any regression. Run from the default (unsanitized) build.
+  # workloads (scan+filter, hash join, aggregate), and a default-options
+  # probe batch must run every executed query vectorized; --quick exits
+  # non-zero on any regression. Run from the default (unsanitized) build.
   cmake --build build -j "$(nproc)" --target bench_parallel_exec > /dev/null
   ./build/bench/bench_parallel_exec --quick
 else
