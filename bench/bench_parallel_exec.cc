@@ -1,8 +1,9 @@
 // Morsel-driven parallel execution bench: operator throughput (scan,
 // hash-join probe, aggregate) and probe-batch throughput at 1/2/4/8
-// threads, on both execution paths — row-at-a-time (options.vectorized =
-// false) and the vectorized batch engine — reporting the vec/row speedup
-// and the scaling curve over the serial baseline.
+// threads on the vectorized batch engine, reporting the scaling curve over
+// the serial baseline. The row-at-a-time path (options.vectorized = false)
+// is always serial, so it is measured at 1 thread only, for the serial
+// vec/row speedup.
 //
 //   build/bench/bench_parallel_exec [--quick] [BENCH_parallel.json]
 //
@@ -225,28 +226,33 @@ int main(int argc, char** argv) {
   std::printf("building %zu-row fact table...\n", fact_rows);
   Fixture fx(fact_rows);
 
-  // results_vec/row[w][t] = throughput (rows/s for plans, probes/s for the
-  // batch; the probe path owns its own options, so its row entry repeats
-  // the served number and is left out of the JSON).
+  // results_vec[w][t] = throughput (rows/s for plans, probes/s for the
+  // batch) at thread_counts[t]; results_row[w][0] = the serial row path
+  // (plans only: the probe path owns its own options).
   std::vector<std::vector<double>> results_vec(workloads.size());
   std::vector<std::vector<double>> results_row(workloads.size());
   ProbeBatchRun serial_batch;  // the probe batch at 1 thread
   for (size_t w = 0; w < workloads.size(); ++w) {
+    bool per_probe = workloads[w].sql.empty();
     for (size_t threads : thread_counts) {
-      double vec, row;
-      if (workloads[w].sql.empty()) {
+      double vec;
+      if (per_probe) {
         ProbeBatchRun run = MeasureProbeBatch(threads);
         if (threads == 1) serial_batch = run;
-        vec = row = run.probes_per_s;
+        vec = run.probes_per_s;
       } else {
-        row = MeasurePlan(fx, workloads[w].sql, threads, /*vectorized=*/false);
         vec = MeasurePlan(fx, workloads[w].sql, threads, /*vectorized=*/true);
       }
       results_vec[w].push_back(vec);
+      std::printf("  %-12s threads=%zu  vec %.3g %s\n",
+                  workloads[w].key.c_str(), threads, vec,
+                  per_probe ? "probes/s" : "rows/s");
+    }
+    if (!per_probe) {
+      double row = MeasurePlan(fx, workloads[w].sql, 1, /*vectorized=*/false);
       results_row[w].push_back(row);
-      std::printf("  %-12s threads=%zu  row %.3g  vec %.3g %s\n",
-                  workloads[w].key.c_str(), threads, row, vec,
-                  workloads[w].sql.empty() ? "probes/s" : "rows/s");
+      std::printf("  %-12s threads=1  row %.3g rows/s\n",
+                  workloads[w].key.c_str(), row);
     }
   }
 
@@ -320,7 +326,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     // The probe batch has no row-path variant (the probe optimizer owns its
-    // execution options), so the row-path section lists plan workloads only.
+    // execution options), so the row-path section lists plan workloads only,
+    // at 1 thread.
     auto dump = [&](const char* key,
                     const std::vector<std::vector<double>>& results,
                     bool plans_only, bool trailing_comma) {
@@ -329,9 +336,9 @@ int main(int argc, char** argv) {
       for (size_t w = 0; w < workloads.size(); ++w) {
         if (plans_only && workloads[w].sql.empty()) continue;
         out << sep << "    \"" << workloads[w].key << "\": {";
-        for (size_t t = 0; t < thread_counts.size(); ++t) {
+        for (size_t t = 0; t < results[w].size(); ++t) {
           out << "\"" << thread_counts[t] << "\": " << Num(results[w][t], 1);
-          if (t + 1 < thread_counts.size()) out << ", ";
+          if (t + 1 < results[w].size()) out << ", ";
         }
         out << "}";
         sep = ",\n";

@@ -61,7 +61,10 @@ Status Catalog::DropTable(const std::string& name) {
   // through those are no longer catalog state, so stop observing them.
   it->second->SetMutationListener(nullptr);
   tables_.erase(it);
-  stats_cache_.erase(name);
+  {
+    MutexLock lock(stats_mutex_);
+    stats_cache_.erase(name);
+  }
   for (auto iit = indexes_.begin(); iit != indexes_.end();) {
     if (iit->first.first == name) iit = indexes_.erase(iit);
     else ++iit;
@@ -127,17 +130,22 @@ std::vector<std::string> Catalog::ListTables() const {
   return out;
 }
 
-Result<const TableStats*> Catalog::GetStats(const std::string& name) {
+Result<std::shared_ptr<const TableStats>> Catalog::GetStats(
+    const std::string& name) {
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::NotFound("no such table: " + name);
+  // Held across the recompute: sessions asking for the same stale table wait
+  // for one computation instead of each scanning the table.
+  MutexLock lock(stats_mutex_);
   auto cached = stats_cache_.find(name);
   if (cached != stats_cache_.end() &&
-      cached->second.data_version == it->second->data_version()) {
-    return const_cast<const TableStats*>(&cached->second);
+      cached->second->data_version == it->second->data_version()) {
+    return cached->second;
   }
   AF_ASSIGN_OR_RETURN(TableStats fresh, ComputeTableStats(*it->second));
-  stats_cache_[name] = std::move(fresh);
-  return const_cast<const TableStats*>(&stats_cache_[name]);
+  auto stats = std::make_shared<const TableStats>(std::move(fresh));
+  stats_cache_[name] = stats;
+  return stats;
 }
 
 }  // namespace agentfirst

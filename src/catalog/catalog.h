@@ -10,6 +10,7 @@
 #include "catalog/stats.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "storage/table.h"
 #include "types/schema.h"
 
@@ -57,7 +58,10 @@ class Catalog {
   size_t NumTables() const { return tables_.size(); }
 
   /// Returns (computing or refreshing as needed) statistics for `name`.
-  Result<const TableStats*> GetStats(const std::string& name);
+  /// Safe to call from concurrent sessions: a stale or missing entry is
+  /// computed once under the cache lock, and the returned pointer keeps its
+  /// stats alive after a later recompute replaces them.
+  Result<std::shared_ptr<const TableStats>> GetStats(const std::string& name);
 
   /// Bumped on every DDL (create/drop/register). Grounding artifacts pin the
   /// version they were derived from.
@@ -94,7 +98,9 @@ class Catalog {
 
  private:
   std::map<std::string, TablePtr> tables_;
-  mutable std::map<std::string, TableStats> stats_cache_;
+  Mutex stats_mutex_;
+  std::map<std::string, std::shared_ptr<const TableStats>> stats_cache_
+      AF_GUARDED_BY(stats_mutex_);
   // (table, column name) -> index.
   std::map<std::pair<std::string, std::string>, std::unique_ptr<HashIndex>>
       indexes_;

@@ -35,19 +35,29 @@ ExecOptions BatchBaseOptions(size_t intra_query_threads) {
   return eo;
 }
 
+/// Seed of the retry backoff jitter.
+constexpr uint64_t kRetrySeed = 0x5eed;
+
 /// Deterministic backoff jitter in [0.5, 1.5): a pure function of
-/// (seed, probe, query, attempt), so concurrent retry storms decorrelate
-/// without any shared RNG state and replays are reproducible.
-double RetryJitter(uint64_t seed, uint64_t probe_id, size_t query,
-                   size_t attempt) {
-  uint64_t h = Mix64(HashCombine(HashCombine(HashInt(seed), HashInt(probe_id)),
-                                 HashInt((query << 8) ^ attempt)));
+/// (probe, query, attempt), so concurrent retry storms decorrelate without
+/// any shared RNG state and replays are reproducible.
+double RetryJitter(uint64_t probe_id, size_t query, size_t attempt) {
+  uint64_t h = Mix64(HashCombine(
+      HashCombine(HashInt(kRetrySeed), HashInt(probe_id)),
+      HashInt((query << 8) ^ attempt)));
   return 0.5 + static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /// Semantic-discovery matches returned when the probe leaves
 /// `semantic_top_k` unset (documented in core/probe.h).
 constexpr size_t kDefaultSemanticTopK = 5;
+
+/// Exploratory queries whose goal relevance falls below this are pruned
+/// (Options::enable_semantic_pruning).
+constexpr double kSemanticPruneThreshold = 0.05;
+
+/// Tables remembered per agent for the sleeper agent's batching hints.
+constexpr size_t kRecentTablesPerAgent = 8;
 
 /// Process-wide probe-layer counters (af.probe.*): the registry mirror of
 /// the per-optimizer Metrics snapshot, aggregated over every ProbeOptimizer
@@ -153,8 +163,9 @@ void ProbeOptimizer::AdviseMaterialization(const PlanPtr& plan,
           HintKind::kSchemaGuidance,
           std::string("the ") + PlanKindName(sub.node->kind) + " over [" +
               tables + "] has recurred " + std::to_string(entry.first) +
-              " times across probes; its result is now pinned in the shared "
-              "cache (materialized)",
+              " times across probes; reuse one answer rather than re-run it "
+              "(nothing pins it: any materialized copy in the shared "
+              "sub-plan cache can be evicted)",
           0.45});
     }
   }
@@ -359,7 +370,7 @@ void ProbeOptimizer::PrepareProbe(const Probe& probe, ProbeTask* task) {
       prepared.push_back(std::move(p));
       continue;
     }
-    p.plan = options_.enable_rewrites ? OptimizePlan(*plan, catalog_) : *plan;
+    p.plan = OptimizePlan(*plan, catalog_);
     CostEstimate est = EstimatePlanCost(*p.plan, catalog_);
     p.cost = est.total_cost;
     p.rows = est.output_rows;
@@ -385,7 +396,7 @@ void ProbeOptimizer::PrepareProbe(const Probe& probe, ProbeTask* task) {
   if (options_.enable_semantic_pruning && exploratory && !brief.text.empty()) {
     for (size_t i = 0; i < prepared.size(); ++i) {
       if (prepared[i].plan != nullptr &&
-          prepared[i].relevance < options_.semantic_prune_threshold) {
+          prepared[i].relevance < kSemanticPruneThreshold) {
         run[i] = false;
       }
     }
@@ -643,7 +654,7 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
         answer.skip_reason = "covered by your earlier probe: " + covered_by_turn[i];
       } else if (over_budget[i]) {
         answer.skip_reason = "shed: probe cost budget exhausted";
-      } else if (prepared[i].relevance < options_.semantic_prune_threshold) {
+      } else if (prepared[i].relevance < kSemanticPruneThreshold) {
         answer.skip_reason = "pruned: not relevant to the stated goal";
       } else {
         answer.skip_reason = "satisficing: covered by the answered subset";
@@ -772,7 +783,7 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
     while (!exec_result.ok() && IsRetryable(exec_result.status()) &&
            retries < options_.max_query_retries) {
       ++retries;
-      double jitter = RetryJitter(options_.retry_seed, probe.id, i, retries);
+      double jitter = RetryJitter(probe.id, i, retries);
       double delay_ms = options_.retry_backoff_ms *
                         static_cast<double>(1ull << (retries - 1)) * jitter;
       std::this_thread::sleep_for(
@@ -809,7 +820,7 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
     if (answer.result->truncated) {
       bool degraded = false;
       if (answer.result->interrupt == StatusCode::kDeadlineExceeded &&
-          options_.degrade_on_deadline && options_.enable_aqp &&
+          options_.enable_aqp &&
           task->exploratory && !wants_exact && effective_rate >= 1.0) {
         obs::TraceSpan* degrade_span = nullptr;
         if (qspan != nullptr) {
@@ -954,7 +965,7 @@ void ProbeOptimizer::FinalizeProbe(ProbeTask* task) {
         }
       }
     }
-    while (recent.size() > options_.recent_tables_per_agent) {
+    while (recent.size() > kRecentTablesPerAgent) {
       recent.erase(recent.begin());
     }
   }

@@ -30,11 +30,15 @@ class ProbeOptimizer {
  public:
   struct Options {
     bool enable_mqo = true;          // shared sub-plan cache across probes
-    bool enable_aqp = true;          // sampling for exploratory phases
+    /// Sampling for exploratory phases. Also lets an exploratory probe whose
+    /// exact answer came back truncated by the deadline retry once through
+    /// sampling (validation-phase probes are never degraded).
+    bool enable_aqp = true;
     bool enable_memory = true;       // read/write the agentic memory store
     bool enable_steering = true;     // sleeper-agent hints
+    /// During exploration, prune queries whose goal relevance falls below
+    /// a fixed threshold (only when the brief carries goal text).
     bool enable_semantic_pruning = true;
-    bool enable_rewrites = true;     // rule-based plan rewrites
     /// Honor briefs' satisficing directives (k-of-n, termination criteria).
     /// Disabled by the classical-database baseline in the benches.
     bool enable_satisficing = true;
@@ -43,13 +47,11 @@ class ProbeOptimizer {
     /// `exploration_cost_threshold`.
     double exploration_sample_rate = 0.05;
     double exploration_cost_threshold = 20000.0;
-    /// Queries whose goal-relevance falls below this are pruned during
-    /// exploration (only when the brief carries goal text).
-    double semantic_prune_threshold = 0.05;
-    size_t recent_tables_per_agent = 8;
     /// Materialization advisor (paper Sec. 5.2.2): when a join/aggregate
-    /// sub-plan recurs this many times across probes, its result is pinned
-    /// in the shared cache and a hint is emitted. 0 disables the advisor.
+    /// sub-plan recurs this many times across probes, a hint suggests the
+    /// agent reuse one answer. The advisor pins nothing: any materialized
+    /// copy sits in the LRU shared sub-plan cache (with MQO on) like every
+    /// other result and may be evicted. 0 disables the advisor.
     size_t materialization_threshold = 3;
     /// Invest heuristic (paper Sec. 5.2.2): once the same underlying
     /// relation has been asked about this many times, answer exactly even
@@ -93,15 +95,9 @@ class ProbeOptimizer {
     size_t max_query_retries = 2;
     /// Base for the retry backoff; attempt k sleeps
     /// retry_backoff_ms * 2^(k-1) * jitter, with jitter in [0.5, 1.5)
-    /// derived deterministically from (retry_seed, probe id, query, attempt)
-    /// so concurrent retry storms decorrelate reproducibly.
+    /// derived deterministically from (probe id, query, attempt) so
+    /// concurrent retry storms decorrelate reproducibly.
     double retry_backoff_ms = 1.0;
-    uint64_t retry_seed = 0x5eed;
-    /// When an exploratory probe's exact answer comes back truncated by the
-    /// deadline, retry it once through the AQP sampling path (a complete
-    /// approximate answer usually grounds exploration better than an exact
-    /// prefix). Validation-phase probes are never degraded.
-    bool degrade_on_deadline = true;
     /// Per-agent circuit breaker: after this many consecutive failed
     /// executed queries, the agent's next probes are shed wholesale until
     /// the cooldown passes (0 disables the breaker). Sheds protect the

@@ -11,35 +11,28 @@
 #include "common/fault_injection.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "exec/result_set.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/logical_plan.h"
+#include "storage/segment.h"
 #include "types/value.h"
 
 /// Shared internals of the row and vectorized execution paths. Everything
 /// here is an implementation detail of src/exec/ — the public surface stays
-/// executor.h. Both paths must agree on morsel geometry, interrupt
-/// semantics, and byte accounting, or the determinism contract (row path ==
-/// vectorized path == any thread count) breaks; keeping the definitions in
-/// one header makes that agreement structural.
+/// executor.h. Both paths must agree on interrupt cadence, interrupt
+/// semantics, and byte accounting, or the determinism contract (the serial
+/// row path == the vectorized path at any thread count) breaks; keeping the
+/// definitions in one header makes that agreement structural.
 namespace agentfirst {
 namespace exec_internal {
 
-/// Row-range morsel size for parallel operators. Fixed (never derived from
-/// the pool width) so morsel boundaries — and therefore merged output order —
-/// are identical for every thread count. The vectorized path uses the same
-/// number as its batch size, so "one morsel" means the same amount of work
-/// on both paths.
-constexpr size_t kRowMorselSize = 1024;
-/// Inputs smaller than this run serially; fan-out costs more than it saves.
-constexpr size_t kMinParallelRows = 2048;
-/// How often the serial row loops re-check the interrupt state: every
-/// kCheckInterval rows, matching the parallel paths' morsel granularity, so
-/// "stops within one morsel of the deadline" holds at any thread count.
-constexpr size_t kCheckInterval = kRowMorselSize;
+/// How often the row path's loops (always serial) re-check the interrupt
+/// state: every kCheckInterval rows, one default-size storage segment, which
+/// is the vectorized engine's morsel (one batch per segment), so "stops
+/// within one morsel of the deadline" means the same on both paths.
+constexpr size_t kCheckInterval = Segment::kDefaultCapacity;
 
 /// Rough resident footprint of one row (shared by the cache estimate and the
 /// executor's byte-budget accounting).
@@ -60,7 +53,6 @@ struct ExecMetrics {
   obs::Counter* cache_hit_bytes;
   obs::Counter* cache_evicted_bytes;
   obs::Counter* plans;
-  obs::Counter* morsels;
   obs::Histogram* plan_us;
   /// Vectorized-path counters: plans (sub-trees) executed vectorized,
   /// batches processed, and nodes that fell back to the row path because an
@@ -82,7 +74,6 @@ inline ExecMetrics& Metrics() {
     metrics->cache_hit_bytes = reg.GetCounter("af.exec.cache.hit_bytes");
     metrics->cache_evicted_bytes = reg.GetCounter("af.exec.cache.evicted_bytes");
     metrics->plans = reg.GetCounter("af.exec.plans");
-    metrics->morsels = reg.GetCounter("af.exec.morsels");
     metrics->plan_us = reg.GetHistogram("af.exec.plan_us");
     metrics->vec_plans = reg.GetCounter("af.exec.vec.plans");
     metrics->vec_batches = reg.GetCounter("af.exec.vec.batches");
@@ -91,10 +82,6 @@ inline ExecMetrics& Metrics() {
     return metrics;
   }();
   return *m;
-}
-
-inline ThreadPool* PoolFor(const ExecOptions& options) {
-  return options.pool != nullptr ? options.pool : ThreadPool::Default();
 }
 
 /// Per-plan-execution interrupt state, threaded through every operator.
@@ -237,10 +224,6 @@ inline void CarryTruncation(const ResultSet& in, ResultSet* out) {
   }
 }
 
-inline bool UseParallel(const ExecOptions& options, size_t num_rows) {
-  return options.num_threads > 1 && num_rows >= kMinParallelRows;
-}
-
 /// Appends one operator's `op:<kind>` span under `trace` with its output
 /// row count and its inclusive wall time since `start`. Both paths record
 /// through this, so a traced plan has the same flat, post-order span shape
@@ -256,7 +239,8 @@ inline void AddOpSpan(obs::TraceSpan* trace, PlanKind kind,
   if (truncated) span->AddNote("truncated", "true");
 }
 
-/// Serial-loop budget tracker mirroring the parallel paths' accounting.
+/// Row-path budget tracker: the row-at-a-time counterpart of the
+/// vectorized engine's per-batch accounting.
 struct BudgetTracker {
   InterruptCtx& ctx;
   size_t rows = 0;

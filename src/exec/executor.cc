@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <iterator>
 #include <set>
 #include <unordered_map>
 
@@ -24,11 +23,8 @@ using exec_internal::BudgetTracker;
 using exec_internal::CarryTruncation;
 using exec_internal::InterruptCtx;
 using exec_internal::kCheckInterval;
-using exec_internal::kRowMorselSize;
 using exec_internal::Metrics;
-using exec_internal::PoolFor;
 using exec_internal::StampTruncation;
-using exec_internal::UseParallel;
 
 ExecCache::ExecCache(size_t capacity_bytes) : capacity_bytes_(capacity_bytes) {}
 
@@ -139,60 +135,6 @@ uint64_t CacheKey(const PlanNode& node, const ExecOptions& options) {
   return key;
 }
 
-/// Runs `body(row_begin, row_end, buffer)` over fixed-size morsels of
-/// [0, num_rows) on the pool and appends the per-morsel buffers to `out` in
-/// morsel order. Each morsel writes its own buffer, so output is
-/// byte-identical to a serial left-to-right pass regardless of scheduling.
-///
-/// Interrupt semantics: morsels re-check `ctx` before running (deadline,
-/// cancellation) and count produced rows/bytes against the output budgets;
-/// the first trip stops further claims within one morsel. Completed morsel
-/// buffers are still merged in morsel order, so a truncated result is a
-/// deterministic-order subset of the full answer.
-void ParallelMorselAppend(
-    const ExecOptions& options, InterruptCtx& ctx, const char* fault_site,
-    size_t num_rows, std::vector<Row>* out,
-    const std::function<void(size_t, size_t, std::vector<Row>*)>& body) {
-  size_t num_morsels = (num_rows + kRowMorselSize - 1) / kRowMorselSize;
-  std::vector<std::vector<Row>> buffers(num_morsels);
-  // Budget tripwires local to this operator invocation, not metrics.
-  // aflint:allow(raw-counter)
-  std::atomic<size_t> produced_rows{0};
-  // aflint:allow(raw-counter)
-  std::atomic<size_t> produced_bytes{0};
-  obs::Counter* morsel_counter = Metrics().morsels;
-  PoolFor(options)->ParallelFor(
-      0, num_rows,
-      [&](size_t begin, size_t end) {
-        if (ctx.Check() || ctx.FaultAt(fault_site)) return;
-        morsel_counter->Increment();
-        std::vector<Row>* buf = &buffers[begin / kRowMorselSize];
-        body(begin, end, buf);
-        if (ctx.max_rows > 0) {
-          size_t total = produced_rows.fetch_add(buf->size(),
-                                                 std::memory_order_relaxed) +
-                         buf->size();
-          if (total > ctx.max_rows) ctx.Trip(StatusCode::kResourceExhausted);
-        }
-        if (ctx.max_bytes > 0) {
-          size_t bytes = 0;
-          for (const Row& row : *buf) bytes += ApproxRowBytes(row);
-          size_t total = produced_bytes.fetch_add(bytes,
-                                                  std::memory_order_relaxed) +
-                         bytes;
-          if (total > ctx.max_bytes) ctx.Trip(StatusCode::kResourceExhausted);
-        }
-      },
-      kRowMorselSize, options.num_threads, ctx.stop_flag());
-  size_t total = 0;
-  for (const auto& buf : buffers) total += buf.size();
-  out->reserve(out->size() + total);
-  for (auto& buf : buffers) {
-    out->insert(out->end(), std::make_move_iterator(buf.begin()),
-                std::make_move_iterator(buf.end()));
-  }
-}
-
 Result<ResultSetPtr> ExecNode(const PlanNode& node, const ExecOptions& options,
                               InterruptCtx& ctx);
 
@@ -229,81 +171,11 @@ Result<ResultSetPtr> ExecScan(const PlanNode& node, const ExecOptions& options,
     }
     return out;
   }
+  // Serial, segment by segment in storage order. Each segment is pinned only
+  // while it is read, so under a buffer pool a scan keeps one segment
+  // resident and eviction can engage mid-query.
   const size_t nseg = node.table->NumSegments();
-  // Morsel-driven parallel scan: one morsel per storage segment, per-morsel
-  // output buffers merged in segment order (deterministic). Each morsel pins
-  // only its own segment — under a buffer pool that keeps at most
-  // num_threads segments resident per scan, letting eviction engage
-  // mid-query. Sampling stays serial: its RNG stream runs across segment
-  // boundaries.
-  if (!sampling && UseParallel(options, node.table->NumRows()) && nseg > 1) {
-    std::vector<std::vector<Row>> buffers(nseg);
-    // Budget tripwires local to this scan, not metrics.
-    // aflint:allow(raw-counter)
-    std::atomic<size_t> produced_rows{0};
-    // aflint:allow(raw-counter)
-    std::atomic<size_t> produced_bytes{0};
-    PoolFor(options)->ParallelFor(
-        0, nseg,
-        [&](size_t begin, size_t end) {
-          std::vector<Row> scratch;
-          for (size_t s = begin; s < end; ++s) {
-            if (ctx.Check() || ctx.FaultAt("exec.scan.morsel")) return;
-            Result<storage::SegmentPin> pin = node.table->PinSegment(s);
-            if (!pin.ok()) {
-              ctx.TripFault(std::move(pin).status());
-              return;
-            }
-            const Segment& seg = **pin;
-            std::vector<Row>& buf = buffers[s];
-            buf.reserve(seg.num_rows());
-            // Column-at-a-time materialization in interrupt-check-sized
-            // chunks (same cadence as the old per-row loop).
-            for (size_t base = 0; base < seg.num_rows();
-                 base += kCheckInterval) {
-              if (base > 0 && ctx.Check()) break;
-              if (node.scan_filter == nullptr) {
-                seg.ReadRows(base, base + kCheckInterval, &buf);
-                continue;
-              }
-              scratch.clear();
-              seg.ReadRows(base, base + kCheckInterval, &scratch);
-              for (Row& row : scratch) {
-                if (EvalPredicate(*node.scan_filter, row)) {
-                  buf.push_back(std::move(row));
-                }
-              }
-            }
-            if (ctx.max_rows > 0 &&
-                produced_rows.fetch_add(buf.size(), std::memory_order_relaxed) +
-                        buf.size() >
-                    ctx.max_rows) {
-              ctx.Trip(StatusCode::kResourceExhausted);
-            }
-            if (ctx.max_bytes > 0) {
-              size_t bytes = 0;
-              for (const Row& row : buf) bytes += ApproxRowBytes(row);
-              if (produced_bytes.fetch_add(bytes, std::memory_order_relaxed) +
-                      bytes >
-                  ctx.max_bytes) {
-                ctx.Trip(StatusCode::kResourceExhausted);
-              }
-            }
-          }
-        },
-        /*grain=*/1, options.num_threads, ctx.stop_flag());
-    AF_RETURN_IF_ERROR(ctx.TakeError());
-    size_t total = 0;
-    for (const auto& buf : buffers) total += buf.size();
-    out->rows.reserve(total);
-    for (auto& buf : buffers) {
-      out->rows.insert(out->rows.end(), std::make_move_iterator(buf.begin()),
-                       std::make_move_iterator(buf.end()));
-    }
-    StampTruncation(ctx, out.get());
-    return out;
-  }
-  // Seed depends on the table so parallel scans in one plan decorrelate.
+  // Seed depends on the table so two scans in one plan decorrelate.
   Rng rng(options.sample_seed ^ HashString(node.table_name));
   size_t expected = node.table->NumRows();
   if (sampling) {
@@ -340,9 +212,8 @@ Result<ResultSetPtr> ExecScan(const PlanNode& node, const ExecOptions& options,
       if (tripped) break;
     }
   } else {
-    // Exact serial scan: materialize column-at-a-time in check-interval
-    // chunks, then filter/account per row (identical output, order, and
-    // interrupt cadence to the old per-row GetRow loop).
+    // Exact scan: materialize column-at-a-time in check-interval chunks,
+    // then filter/account per row.
     std::vector<Row> scratch;
     for (size_t s = 0; s < nseg && !tripped; ++s) {
       AF_ASSIGN_OR_RETURN(storage::SegmentPin pin, node.table->PinSegment(s));
@@ -393,27 +264,9 @@ Result<ResultSetPtr> ExecFilter(const PlanNode& node, const ExecOptions& options
   // so surviving rows can be moved out instead of copied.
   bool unique_input = input.use_count() == 1;
   // Drain mode (plan already tripped): the input is a bounded partial, so
-  // run it through serially without further interrupt checks — stopping
-  // here would throw away the rows the deadline's budget already paid for.
+  // run it through without further interrupt checks — stopping here would
+  // throw away the rows the deadline's budget already paid for.
   bool draining = ctx.soft_stopped();
-  if (!draining && UseParallel(options, n)) {
-    ParallelMorselAppend(
-        options, ctx, "exec.filter.morsel", n, &out->rows,
-        [&](size_t begin, size_t end, std::vector<Row>* buf) {
-          for (size_t i = begin; i < end; ++i) {
-            const Row& row = input->rows[i];
-            if (!EvalPredicate(*node.predicate, row)) continue;
-            if (unique_input) {
-              buf->push_back(std::move(const_cast<Row&>(row)));
-            } else {
-              buf->push_back(row);
-            }
-          }
-        });
-    AF_RETURN_IF_ERROR(ctx.TakeError());
-    StampTruncation(ctx, out.get());
-    return out;
-  }
   out->rows.reserve(n);
   BudgetTracker budget(ctx);
   auto keep_row = [&](Row&& row) {
@@ -455,49 +308,16 @@ Result<ResultSetPtr> ExecProject(const PlanNode& node, const ExecOptions& option
   out->approximate = input->approximate;
   out->sample_rate = input->sample_rate;
   CarryTruncation(*input, out.get());
-  size_t n = input->rows.size();
-  auto project_row = [&](const Row& row) {
+  // Projection is linear in its materialized input, so it never stops
+  // early: a plan tripped below it still projects every row it produced.
+  out->rows.reserve(input->rows.size());
+  for (const Row& row : input->rows) {
     Row projected;
     projected.reserve(node.project_exprs.size());
     for (const auto& e : node.project_exprs) {
       projected.push_back(EvalExpr(*e, row));
     }
-    return projected;
-  };
-  bool draining = ctx.soft_stopped();
-  if (!draining && UseParallel(options, n)) {
-    // Slot-per-row writes can't stop at arbitrary rows without leaving
-    // holes, so the parallel projection checks interrupts per morsel and a
-    // trip falls through to a serial drain of the skipped morsels (the
-    // input is materialized; the residual work is bounded).
-    size_t num_morsels = (n + kRowMorselSize - 1) / kRowMorselSize;
-    std::vector<char> morsel_done(num_morsels, 0);
-    out->rows.resize(n);
-    PoolFor(options)->ParallelFor(
-        0, n,
-        [&](size_t begin, size_t end) {
-          if (ctx.Check() || ctx.FaultAt("exec.project.morsel")) return;
-          for (size_t i = begin; i < end; ++i) {
-            out->rows[i] = project_row(input->rows[i]);
-          }
-          morsel_done[begin / kRowMorselSize] = 1;
-        },
-        kRowMorselSize, options.num_threads, ctx.stop_flag());
-    AF_RETURN_IF_ERROR(ctx.TakeError());
-    for (size_t m = 0; m < num_morsels; ++m) {
-      if (morsel_done[m]) continue;
-      size_t begin = m * kRowMorselSize;
-      size_t end = std::min(begin + kRowMorselSize, n);
-      for (size_t i = begin; i < end; ++i) {
-        out->rows[i] = project_row(input->rows[i]);
-      }
-    }
-    StampTruncation(ctx, out.get());
-    return out;
-  }
-  out->rows.reserve(n);
-  for (const Row& row : input->rows) {
-    out->rows.push_back(project_row(row));
+    out->rows.push_back(std::move(projected));
   }
   AF_RETURN_IF_ERROR(ctx.TakeError());
   StampTruncation(ctx, out.get());
@@ -517,8 +337,7 @@ Result<ResultSetPtr> ExecHashJoin(const PlanNode& node, const ExecOptions& optio
   CarryTruncation(*left, out.get());
   CarryTruncation(*right, out.get());
 
-  // Build hash table on the right side (serial: builds are short and the
-  // probe side dominates).
+  // Build hash table on the right side.
   std::unordered_map<uint64_t, std::vector<size_t>> build;
   std::vector<std::vector<Value>> right_keys(right->rows.size());
   for (size_t i = 0; i < right->rows.size(); ++i) {
@@ -536,8 +355,8 @@ Result<ResultSetPtr> ExecHashJoin(const PlanNode& node, const ExecOptions& optio
   }
 
   size_t right_width = right->schema.NumColumns();
-  // Probes one left row against the build side, appending matches to `buf`.
-  auto probe_row = [&](const Row& lrow, std::vector<Row>* buf) {
+  // Probes one left row against the build side, appending its matches.
+  auto probe_row = [&](const Row& lrow) {
     std::vector<Value> key;
     key.reserve(node.join_keys.size());
     bool has_null = false;
@@ -568,41 +387,27 @@ Result<ResultSetPtr> ExecHashJoin(const PlanNode& node, const ExecOptions& optio
             continue;
           }
           matched = true;
-          buf->push_back(std::move(combined));
+          out->rows.push_back(std::move(combined));
         }
       }
     }
     if (!matched && node.join_type == JoinType::kLeft) {
       Row combined = lrow;
       combined.resize(combined.size() + right_width);  // NULL padding
-      buf->push_back(std::move(combined));
+      out->rows.push_back(std::move(combined));
     }
   };
 
-  // Morsel-driven probe phase: the left input is partitioned into row-range
-  // morsels; per-morsel buffers are merged in morsel order, matching the
-  // serial left-to-right probe order exactly. The probe side is where an
-  // oversized join burns its time, so this is the load-bearing deadline
-  // check: each morsel re-checks `ctx`, and a trip merges only the morsels
-  // completed so far (the probe batch's partial answer).
+  // Probe phase, left to right. The probe side is where an oversized join
+  // burns its time, so this is the load-bearing deadline check: every
+  // kCheckInterval left rows re-check `ctx`, and a trip keeps the matches
+  // produced so far (the probe's partial answer).
   bool draining = ctx.soft_stopped();
-  if (!draining && UseParallel(options, left->rows.size())) {
-    ParallelMorselAppend(options, ctx, "exec.join.probe.morsel",
-                         left->rows.size(), &out->rows,
-                         [&](size_t begin, size_t end, std::vector<Row>* buf) {
-                           for (size_t i = begin; i < end; ++i) {
-                             probe_row(left->rows[i], buf);
-                           }
-                         });
-    AF_RETURN_IF_ERROR(ctx.TakeError());
-    StampTruncation(ctx, out.get());
-    return out;
-  }
   BudgetTracker budget(ctx);
   for (size_t i = 0; i < left->rows.size(); ++i) {
     if (!draining && (i % kCheckInterval) == 0 && i > 0 && ctx.Check()) break;
     size_t before = out->rows.size();
-    probe_row(left->rows[i], &out->rows);
+    probe_row(left->rows[i]);
     bool over = false;
     for (size_t r = before; r < out->rows.size() && !over; ++r) {
       over = budget.Add(out->rows[r]);
@@ -766,7 +571,7 @@ Result<ResultSetPtr> ExecAggregate(const PlanNode& node, const ExecOptions& opti
   // Horvitz-Thompson scale factor for sampled inputs.
   double scale = 1.0;
   if (input->approximate && input->sample_rate > 0.0 &&
-      input->sample_rate < 1.0 && options.scale_approximate_aggregates) {
+      input->sample_rate < 1.0) {
     scale = 1.0 / input->sample_rate;
   }
 

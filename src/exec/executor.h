@@ -83,7 +83,9 @@ class ExecCache {
 };
 
 struct ExecOptions {
-  /// Scan-level Bernoulli sampling rate in (0, 1]; 1.0 = exact.
+  /// Scan-level Bernoulli sampling rate in (0, 1]; 1.0 = exact. Over a
+  /// sampled input, COUNT and SUM aggregates are scaled by 1/sample_rate
+  /// (Horvitz-Thompson); DISTINCT aggregates and MIN/MAX/AVG are not.
   double sample_rate = 1.0;
   /// Seed for the sampler (deterministic given plan + seed).
   uint64_t sample_seed = 42;
@@ -93,14 +95,12 @@ struct ExecOptions {
   /// rows), keyed by plan fingerprint plus sampling rate and seed.
   /// Truncated results are never cached.
   ExecCache* cache = nullptr;
-  /// Horvitz-Thompson scaling: when scans are sampled, COUNT and SUM
-  /// aggregates are scaled by 1/sample_rate (DISTINCT aggregates and
-  /// MIN/MAX/AVG are left unscaled). Disable to observe raw sample values.
-  bool scale_approximate_aggregates = true;
-  /// Intra-query parallelism cap. 1 = serial row-at-a-time. >1 runs the hot
-  /// operators (scan, filter, project, hash-join probe) morsel-driven on
-  /// `pool`, merging per-morsel buffers in morsel order so results are
-  /// byte-identical to serial execution.
+  /// Intra-query parallelism cap for the vectorized engine. >1 runs its scan,
+  /// filter, project and hash-join probe morsel-driven on `pool`, merging
+  /// per-morsel output in morsel order so results are byte-identical to
+  /// serial execution. The row path ignores it and always runs serially:
+  /// operators the engine cannot take (see vec::CanVectorize) and
+  /// arena-exhaustion reruns get no intra-query parallelism.
   size_t num_threads = 1;
   /// Pool for morsel execution; nullptr = ThreadPool::Default(). Not owned.
   ThreadPool* pool = nullptr;

@@ -65,8 +65,8 @@ struct VecBatch {
 };
 
 /// A fully produced vectorized operator output: the static column types plus
-/// one batch per input morsel (batch boundaries mirror storage segments /
-/// kRowMorselSize, so parallel production merges deterministically).
+/// one batch per input morsel (batch boundaries mirror storage segments, so
+/// parallel production merges deterministically).
 /// `approximate` / `sample_rate` follow ResultSet's meaning: set by sampled
 /// scans and carried up through every operator.
 struct VecResult {

@@ -15,6 +15,7 @@
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "exec/evaluator.h"
 #include "exec/vec_batch.h"
 #include "storage/buffer_pool.h"
@@ -26,9 +27,18 @@ namespace {
 
 using exec_internal::InterruptCtx;
 using exec_internal::Metrics;
-using exec_internal::PoolFor;
 using exec_internal::StampTruncation;
-using exec_internal::UseParallel;
+
+/// Inputs smaller than this run serially; fan-out costs more than it saves.
+constexpr size_t kMinParallelRows = 2048;
+
+bool UseParallel(const ExecOptions& options, size_t num_rows) {
+  return options.num_threads > 1 && num_rows >= kMinParallelRows;
+}
+
+ThreadPool* PoolFor(const ExecOptions& options) {
+  return options.pool != nullptr ? options.pool : ThreadPool::Default();
+}
 
 // ---------------------------------------------------------------------------
 // Static type flow. A node is vectorizable only when every operator and
@@ -184,8 +194,10 @@ size_t BatchApproxBytes(const VecBatch& b) {
   return total;
 }
 
-/// Per-batch output budget accounting shared by scan / filter / join,
-/// mirroring ParallelMorselAppend's morsel-granular tripwires.
+/// Per-batch output budget accounting shared by scan / filter / join: each
+/// finished batch adds its rows and bytes to the operator's totals, and the
+/// first total past a budget trips the plan, so a trip lands within one
+/// morsel at any thread count.
 struct BatchBudget {
   InterruptCtx& ctx;
   // Budget tripwires local to one operator invocation, not metrics.
@@ -564,9 +576,9 @@ Status ExecVecProject(const PlanNode& node, VecExec& ex, VecResult* out) {
   }
   out->batches.assign(input.batches.size(), VecBatch{});
   // Computes the projected columns for one batch, sparse at the selection.
-  // Projection applies no output budget and — like the row path, whose
-  // parallel trip falls through to a serial drain — always completes every
-  // batch, so a soft trip upstream still yields all surviving rows.
+  // Projection applies no output budget and, like the row path, always
+  // completes every batch, so a soft trip upstream still yields all
+  // surviving rows.
   auto project_batch = [&](size_t i) -> bool {
     const VecBatch& in = input.batches[i];
     VecBatch& b = out->batches[i];
@@ -921,7 +933,7 @@ Status ExecVecAggregate(const PlanNode& node, VecExec& ex, VecResult* out) {
   // round-trip runs even at scale 1.0, as on the row path).
   double scale = 1.0;
   if (input.approximate && input.sample_rate > 0.0 &&
-      input.sample_rate < 1.0 && ex.options.scale_approximate_aggregates) {
+      input.sample_rate < 1.0) {
     scale = 1.0 / input.sample_rate;
   }
   for (size_t a = 0; a < naggs; ++a) {

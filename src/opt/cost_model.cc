@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 namespace agentfirst {
 
@@ -134,7 +135,8 @@ struct NodeEstimate {
   double rows = 0.0;
   double cost = 0.0;
   // Stats available only directly above a scan (used for filter estimates).
-  const TableStats* stats = nullptr;
+  // Shared ownership: a concurrent recompute cannot free them mid-estimate.
+  std::shared_ptr<const TableStats> stats;
 };
 
 NodeEstimate EstimateNode(const PlanNode& node, Catalog* catalog) {
@@ -148,7 +150,7 @@ NodeEstimate EstimateNode(const PlanNode& node, Catalog* catalog) {
       double rows = node.table != nullptr
                         ? static_cast<double>(node.table->NumRows())
                         : 1.0;
-      const TableStats* stats = nullptr;
+      std::shared_ptr<const TableStats> stats;
       if (catalog != nullptr && node.table != nullptr &&
           catalog->HasTable(node.table_name)) {
         auto s = catalog->GetStats(node.table_name);
@@ -156,16 +158,17 @@ NodeEstimate EstimateNode(const PlanNode& node, Catalog* catalog) {
       }
       double sel = 1.0;
       if (node.scan_filter != nullptr) {
-        sel = ConjunctSelectivity(*node.scan_filter, node.output_schema, stats);
+        sel = ConjunctSelectivity(*node.scan_filter, node.output_schema,
+                                  stats.get());
       }
       out.rows = rows * sel;
       out.cost = rows;
-      out.stats = stats;
+      out.stats = std::move(stats);
       break;
     }
     case PlanKind::kFilter: {
-      double sel =
-          ConjunctSelectivity(*node.predicate, node.output_schema, kids[0].stats);
+      double sel = ConjunctSelectivity(*node.predicate, node.output_schema,
+                                       kids[0].stats.get());
       out.rows = kids[0].rows * sel;
       out.cost = kids[0].cost + kids[0].rows;
       out.stats = kids[0].stats;  // filters preserve column positions

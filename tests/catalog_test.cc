@@ -1,5 +1,8 @@
 #include "catalog/catalog.h"
 
+#include <thread>
+#include <vector>
+
 #include "catalog/info_schema.h"
 #include "catalog/stats.h"
 #include "gtest/gtest.h"
@@ -133,6 +136,56 @@ TEST_F(StatsTest, CacheInvalidatedByWrites) {
   auto s2 = catalog_.GetStats("t");
   ASSERT_TRUE(s2.ok());
   EXPECT_EQ((*s2)->row_count, count1 + 1);
+}
+
+// Concurrent sessions reach GetStats from cost estimation and steering at
+// the same time. Eight threads ask for two tables' stats together, first on
+// an empty cache (every thread races to compute) and then on cached hits;
+// each table's stats must be computed once and read consistently. Under
+// TSan it also checks that the cache's lookups and inserts synchronize.
+TEST(CatalogTest, ConcurrentGetStatsComputesEachTableOnce) {
+  Catalog catalog;
+  for (const char* name : {"a", "b"}) {
+    auto t = catalog.CreateTable(name, SimpleSchema(name));
+    ASSERT_TRUE(t.ok());
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_TRUE((*t)->AppendRow({Value::Int(i), Value::Double(i * 0.5),
+                                   Value::String("s" + std::to_string(i % 7))})
+                      .ok());
+    }
+  }
+  constexpr size_t kThreads = 8;
+  constexpr size_t kRounds = 20;
+  // seen[t][r] = the stats thread t got in round r; table = (t + r) % 2.
+  std::vector<std::vector<std::shared_ptr<const TableStats>>> seen(
+      kThreads, std::vector<std::shared_ptr<const TableStats>>(kRounds));
+  // Dedicated threads, not the shared pool: all eight must overlap.
+  // aflint:allow(raw-thread)
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (size_t r = 0; r < kRounds; ++r) {
+        auto stats = catalog.GetStats((t + r) % 2 == 0 ? "a" : "b");
+        if (!stats.ok()) return;
+        seen[t][r] = *stats;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const TableStats* first[2] = {nullptr, nullptr};
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t r = 0; r < kRounds; ++r) {
+      const auto& stats = seen[t][r];
+      ASSERT_NE(stats, nullptr) << "thread " << t << " round " << r;
+      EXPECT_EQ(stats->row_count, 2000u);
+      ASSERT_EQ(stats->columns.size(), 3u);
+      EXPECT_EQ(stats->columns[2].distinct_count, 7u);
+      const TableStats*& table_first = first[(t + r) % 2];
+      if (table_first == nullptr) table_first = stats.get();
+      EXPECT_EQ(stats.get(), table_first) << "stats computed more than once";
+    }
+  }
+  EXPECT_NE(first[0], first[1]);
 }
 
 TEST(InfoSchemaTest, TablesView) {

@@ -16,8 +16,9 @@
 #   5. tier-1         — default build + full ctest suite
 #   6. net smoke      — TSan build of afserved + afprobe + the net tests:
 #                       boots the server on an ephemeral loopback port,
-#                       drives it with afprobe, then runs net_test and
-#                       fuzz_wire_test under the same TSan build
+#                       drives it with afprobe, then runs net_test,
+#                       fuzz_wire_test and catalog_test (concurrent
+#                       sessions' stats lookups) under the same TSan build
 #   7. vectorized     — row/vec parity, thread-count determinism and the
 #                       probe-path suite (cache, trace, sampling on the
 #                       vectorized engine) under the same TSan build, then
@@ -105,7 +106,8 @@ if [[ "$run_tests" == "1" ]]; then
   cmake -B build-tsan -S . -DAGENTFIRST_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build build-tsan -j "$(nproc)" \
-        --target afserve afprobe net_test fuzz_wire_test > /dev/null
+        --target afserve afprobe net_test fuzz_wire_test catalog_test \
+        > /dev/null
   export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 
   serve_log=$(mktemp)
@@ -135,6 +137,7 @@ if [[ "$run_tests" == "1" ]]; then
 
   ./build-tsan/tests/net_test
   ./build-tsan/tests/fuzz_wire_test
+  ./build-tsan/tests/catalog_test
 else
   echo "=== [6/10] net smoke skipped (--no-tests) ==="
 fi
