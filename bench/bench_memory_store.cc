@@ -1,12 +1,17 @@
 // Sec. 6.1 ablation: the agentic memory store. Replays a probe workload in
 // which agents repeatedly need the same grounding, with the store enabled
-// vs. disabled, and reports executed-query savings and hit rates.
+// vs. disabled, and reports executed-query savings and hit rates. Then
+// times each store operation on a full store of the default capacity.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 
 #include "agents/sim_agent.h"
 #include "bench_util.h"
+#include "common/rng.h"
+#include "memory/memory_store.h"
 #include "workload/minibird.h"
 
 namespace agentfirst {
@@ -48,6 +53,78 @@ Outcome RunSuite(bool memory_enabled) {
   auto end = std::chrono::steady_clock::now();
   out.millis = std::chrono::duration<double, std::milli>(end - start).count();
   return out;
+}
+
+/// A probe answer as the probe optimizer stores it: keyed by plan
+/// fingerprint, owned by its agent, pinned to the table it read.
+MemoryArtifact ProbeAnswer(uint64_t n) {
+  MemoryArtifact a;
+  a.kind = ArtifactKind::kProbeResult;
+  a.key = "probe_result:" + std::to_string(n * 0x9e3779b97f4a7c15ULL);
+  a.content = "SELECT region, count(*), sum(amount) FROM orders WHERE price > " +
+              std::to_string(n % 450) + " GROUP BY region ORDER BY region";
+  a.table_deps = {"orders"};
+  a.owner = "analyst-" + std::to_string(n % 3);
+  return a;
+}
+
+/// Median over five rounds of the mean microseconds one call of `op` takes
+/// (`op` gets the call's index).
+double MicrosPerOp(size_t calls, const std::function<void(size_t)>& op) {
+  std::vector<double> rounds;
+  size_t next = 0;
+  for (int r = 0; r < 5; ++r) {
+    auto start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < calls; ++i) op(next++);
+    rounds.push_back(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - start)
+                         .count() /
+                     static_cast<double>(calls));
+  }
+  std::sort(rounds.begin(), rounds.end());
+  return rounds[rounds.size() / 2];
+}
+
+/// Per-operation latency on a store filled to its default capacity, the
+/// state a long-running server reaches.
+void RunOperationLatency() {
+  std::printf("\n=== per-operation latency, full store ===\n");
+  Catalog catalog;
+  auto table = catalog.CreateTable(
+      "orders", Schema({ColumnDef("id", DataType::kInt64)}));
+  if (!table.ok()) return;
+  AgenticMemoryStore store(&catalog, AgenticMemoryStore::Options());
+  const size_t capacity = AgenticMemoryStore::Options().capacity;
+  uint64_t next = 0;
+  for (; next < capacity; ++next) store.Put(ProbeAnswer(next));
+  Rng rng(7);
+  // Keys of live artifacts: the newest `capacity` answers.
+  auto live = [&]() { return next - 1 - rng.NextUint(capacity / 2); };
+  const size_t calls = 2000;
+  double hit = MicrosPerOp(calls, [&](size_t) {
+    MemoryArtifact a = ProbeAnswer(live());
+    (void)store.GetExact(a.key, a.owner);
+  });
+  double miss = MicrosPerOp(calls, [&](size_t i) {
+    (void)store.GetExact("probe_result:absent-" + std::to_string(i));
+  });
+  double supersede = MicrosPerOp(calls, [&](size_t) {
+    store.Put(ProbeAnswer(live()));
+  });
+  double evict = MicrosPerOp(calls, [&](size_t) { store.Put(ProbeAnswer(next++)); });
+  double search = MicrosPerOp(calls / 10, [&](size_t i) {
+    (void)store.Search("orders region amount " + std::to_string(i), 5);
+  });
+  std::vector<std::vector<std::string>> rows = {
+      {"GetExact, hit", bench::Num(hit, 2)},
+      {"GetExact, miss", bench::Num(miss, 2)},
+      {"Put, supersedes its key", bench::Num(supersede, 2)},
+      {"Put, evicts the LRU", bench::Num(evict, 2)},
+      {"Search, top 5", bench::Num(search, 2)},
+  };
+  bench::PrintTable({"operation (" + std::to_string(store.size()) + " artifacts)",
+                     "us/op"},
+                    rows);
 }
 
 void Run() {
@@ -111,6 +188,7 @@ void Run() {
                     privacy_rows);
   std::printf("(privacy costs re-execution: each agent rebuilds grounding "
               "other agents already paid for)\n");
+  RunOperationLatency();
 }
 
 }  // namespace

@@ -621,6 +621,9 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
     obs::TraceSpan* qspan =
         root != nullptr ? root->AddChild("query[" + std::to_string(i) + "]")
                         : nullptr;
+    // Covers the whole iteration, so memory-store lookups, puts and lock
+    // waits land in this span's self time.
+    obs::SpanTimer qtimer(qspan);
     if (qspan != nullptr) {
       obs::TraceSpan* plan_span = qspan->AddChild("plan");
       if (prepared[i].plan == nullptr) {
@@ -692,15 +695,18 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
     // exactness.
     if (options_.enable_memory && memory_ != nullptr) {
       std::string key = "probe_result:" + std::to_string(prepared[i].fingerprint);
-      std::optional<MemoryHit> hit;
+      // The hit's artifact belongs to the store: another task's Put may
+      // supersede or evict it once the lock is released, so take the
+      // answer while it is held.
+      ResultSetPtr cached;
       {
         MutexLock lock(state_mutex_);
-        hit = memory_->GetExact(key, probe.agent_id);
+        std::optional<MemoryHit> hit = memory_->GetExact(key, probe.agent_id);
+        if (hit.has_value() && !hit->stale) cached = hit->artifact->result;
       }
-      if (hit.has_value() && hit->artifact->result != nullptr && !hit->stale &&
-          (!hit->artifact->result->approximate || !wants_exact)) {
+      if (cached != nullptr && (!cached->approximate || !wants_exact)) {
         answer.status = Status::OK();
-        answer.result = hit->artifact->result;
+        answer.result = std::move(cached);
         answer.from_memory = true;
         answer.approximate = answer.result->approximate;
         answer.sample_rate = answer.result->sample_rate;
@@ -909,6 +915,8 @@ void ProbeOptimizer::FinalizeProbe(ProbeTask* task) {
   const Probe& probe = *task->probe;
   const Brief& brief = task->brief;
   ProbeResponse& response = task->response;
+  std::chrono::steady_clock::time_point start;
+  if (options_.enable_tracing) start = std::chrono::steady_clock::now();
 
   // Circuit-breaker outcome accounting (serial, admission order). Only
   // genuine execution failures count: truncation and cancellation are
@@ -986,6 +994,9 @@ void ProbeOptimizer::FinalizeProbe(ProbeTask* task) {
   // agent via the response.
   if (options_.enable_tracing) {
     obs::TraceSpan* fin = task->trace.AddChild("finalize");
+    fin->duration_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
     fin->AddNote("hints", std::to_string(response.hints.size()));
     if (!response.discoveries.empty()) {
       fin->AddNote("discoveries", std::to_string(response.discoveries.size()));

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -154,6 +153,15 @@ bool InferNodeTypes(const PlanNode& node, std::vector<DataType>* out) {
       return InferJoinTypes(node, out);
     case PlanKind::kAggregate:
       return InferAggregateTypes(node, out);
+    case PlanKind::kSort: {
+      if (!InferNodeTypes(*node.children[0], out)) return false;
+      for (const SortKey& key : node.sort_keys) {
+        if (!InferExprType(*key.expr, *out)) return false;
+      }
+      return true;
+    }
+    case PlanKind::kLimit:
+      return InferNodeTypes(*node.children[0], out);
     default:
       return false;
   }
@@ -244,84 +252,64 @@ VecColumn ColView(const ColumnVector& col) {
 constexpr uint32_t kNoRows[1] = {0};
 
 // ---------------------------------------------------------------------------
-// Gather: compact the active rows of source columns into fresh dense arrays.
-// Used by the join to materialize its output batches.
+// Gather: copy chosen cells of source columns into fresh dense arrays. The
+// join, the aggregate's group keys and the sort materialize through it.
 // ---------------------------------------------------------------------------
 
 // aflint:kernel-begin
 
-/// Gathers `src[take[i]]` for matches; `take[i] == UINT32_MAX` (left-join
-/// padding) gathers NULL. `srcs` maps a match to its source column (joins
-/// gather from many batches); null for single-source gathers.
+/// One cell to gather; a null column gathers NULL (left-join padding).
 struct GatherSource {
   const VecColumn* col = nullptr;
-  uint32_t row = 0;
+  size_t row = 0;
 };
 
-bool GatherColumn(const std::vector<GatherSource>& cells, DataType type,
-                  Arena* arena, VecColumn* out) {
-  size_t n = cells.size();
+template <typename T, typename CellFn, typename Get>
+T* GatherValues(size_t n, Arena* arena, const uint8_t* valid, CellFn cell,
+                Get get) {
+  T* data = arena->AllocateArrayOf<T>(n);
+  if (data == nullptr) return nullptr;
+  for (size_t i = 0; i < n; ++i) {
+    data[i] = valid[i] != 0 ? get(cell(i)) : T{};
+  }
+  return data;
+}
+
+/// Fills a fresh dense column of `type` with `n` cells, cell `i` copied from
+/// `cell(i)` (a GatherSource). False on arena exhaustion.
+template <typename CellFn>
+bool GatherCells(DataType type, size_t n, Arena* arena, VecColumn* out,
+                 CellFn cell) {
   uint8_t* valid = arena->AllocateArrayOf<uint8_t>(n);
   if (valid == nullptr) return false;
+  for (size_t i = 0; i < n; ++i) {
+    GatherSource g = cell(i);
+    valid[i] = g.col != nullptr && ValidAt(*g.col, g.row) ? 1 : 0;
+  }
   out->type = type;
   out->valid = valid;
   switch (type) {
-    case DataType::kInt64: {
-      int64_t* data = arena->AllocateArrayOf<int64_t>(n);
-      if (data == nullptr) return false;
-      for (size_t i = 0; i < n; ++i) {
-        const GatherSource& g = cells[i];
-        bool ok = g.col != nullptr && ValidAt(*g.col, g.row);
-        valid[i] = ok ? 1 : 0;
-        data[i] = ok ? g.col->i64[g.row] : 0;
-      }
-      out->i64 = data;
-      return true;
-    }
-    case DataType::kFloat64: {
-      double* data = arena->AllocateArrayOf<double>(n);
-      if (data == nullptr) return false;
-      for (size_t i = 0; i < n; ++i) {
-        const GatherSource& g = cells[i];
-        bool ok = g.col != nullptr && ValidAt(*g.col, g.row);
-        valid[i] = ok ? 1 : 0;
-        data[i] = ok ? g.col->f64[g.row] : 0.0;
-      }
-      out->f64 = data;
-      return true;
-    }
-    case DataType::kBool: {
-      uint8_t* data = arena->AllocateArrayOf<uint8_t>(n);
-      if (data == nullptr) return false;
-      for (size_t i = 0; i < n; ++i) {
-        const GatherSource& g = cells[i];
-        bool ok = g.col != nullptr && ValidAt(*g.col, g.row);
-        valid[i] = ok ? 1 : 0;
-        data[i] = ok ? g.col->b8[g.row] : 0;
-      }
-      out->b8 = data;
-      return true;
-    }
-    case DataType::kString: {
-      StringRef* data = arena->AllocateArrayOf<StringRef>(n);
-      if (data == nullptr) return false;
-      for (size_t i = 0; i < n; ++i) {
-        const GatherSource& g = cells[i];
-        bool ok = g.col != nullptr && ValidAt(*g.col, g.row);
-        valid[i] = ok ? 1 : 0;
-        if (ok) {
-          std::string_view s = StrAt(*g.col, g.row);
-          data[i] = StringRef{s.data(), static_cast<uint32_t>(s.size())};
-        } else {
-          data[i] = StringRef{};
-        }
-      }
-      out->refs = data;
-      return true;
-    }
+    case DataType::kInt64:
+      out->i64 = GatherValues<int64_t>(
+          n, arena, valid, cell, [](GatherSource g) { return g.col->i64[g.row]; });
+      return out->i64 != nullptr;
+    case DataType::kFloat64:
+      out->f64 = GatherValues<double>(
+          n, arena, valid, cell, [](GatherSource g) { return g.col->f64[g.row]; });
+      return out->f64 != nullptr;
+    case DataType::kBool:
+      out->b8 = GatherValues<uint8_t>(
+          n, arena, valid, cell, [](GatherSource g) { return g.col->b8[g.row]; });
+      return out->b8 != nullptr;
+    case DataType::kString:
+      out->refs = GatherValues<StringRef>(
+          n, arena, valid, cell, [](GatherSource g) {
+            std::string_view s = StrAt(*g.col, g.row);
+            return StringRef{s.data(), static_cast<uint32_t>(s.size())};
+          });
+      return out->refs != nullptr;
     default:
-      // kNull output column: all rows NULL.
-      std::memset(valid, 0, n);
+      std::memset(valid, 0, n);  // kNull output column: every cell NULL
       return true;
   }
 }
@@ -354,11 +342,67 @@ uint64_t CellHash(const VecColumn& c, size_t row) {
   }
 }
 
-uint64_t KeysHash(const std::vector<VecColumn>& keys, size_t row) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const VecColumn& c : keys) h = HashCombine(h, CellHash(c, row));
-  return h;
+/// Hashes the key columns of every active row of `b` in one pass per key
+/// column; `(*hashes)[i]` belongs to active row i.
+void HashKeys(const std::vector<VecColumn>& keys, const VecBatch& b,
+              std::vector<uint64_t>* hashes) {
+  const size_t n = b.ActiveRows();
+  hashes->assign(n, kFnvOffsetBasis);
+  uint64_t* h = hashes->data();
+  for (const VecColumn& c : keys) {
+    for (size_t i = 0; i < n; ++i) h[i] = HashCombine(h[i], CellHash(c, b.RowAt(i)));
+  }
 }
+
+/// Open-addressing slots mapping a 64-bit key hash to a dense entry id:
+/// linear probing over a power-of-two array kept at most half full. Callers
+/// give equal hashes their meaning: the join keeps one slot per distinct
+/// hash, heading a chain of build rows; the aggregate keeps one slot per
+/// group, so groups whose keys collide sit in neighbouring slots.
+struct FlatTable {
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  std::vector<uint64_t> hashes;
+  std::vector<uint32_t> ids;
+  size_t mask = 0;
+  size_t used = 0;
+
+  explicit FlatTable(size_t expected) {
+    size_t slots = 16;
+    while (slots < 2 * expected) slots <<= 1;
+    hashes.assign(slots, 0);
+    ids.assign(slots, kEmpty);
+    mask = slots - 1;
+  }
+
+  size_t Home(uint64_t hash) const { return hash & mask; }
+  size_t Next(size_t slot) const { return (slot + 1) & mask; }
+
+  /// The slot holding `hash`, or the empty slot that ends its probe run.
+  size_t Find(uint64_t hash) const {
+    size_t s = Home(hash);
+    while (ids[s] != kEmpty && hashes[s] != hash) s = Next(s);
+    return s;
+  }
+
+  /// Fills empty slot `slot`. Slot positions are void afterwards: the table
+  /// doubles once it passes half full.
+  void Claim(size_t slot, uint64_t hash, uint32_t id) {
+    hashes[slot] = hash;
+    ids[slot] = id;
+    if (2 * ++used <= ids.size()) return;
+    FlatTable bigger(used);
+    for (size_t s = 0; s < ids.size(); ++s) {
+      if (ids[s] == kEmpty) continue;
+      size_t t = bigger.Home(hashes[s]);
+      while (bigger.ids[t] != kEmpty) t = bigger.Next(t);
+      bigger.hashes[t] = hashes[s];
+      bigger.ids[t] = ids[s];
+    }
+    bigger.used = used;
+    *this = std::move(bigger);
+  }
+};
 
 /// Width-insensitive cell equality between two columns of (possibly
 /// different) numeric types, or identical non-numeric types. `nulls_equal`
@@ -638,12 +682,15 @@ Status ExecVecHashJoin(const PlanNode& node, VecExec& ex, VecResult* out) {
   out->types.insert(out->types.end(), right.types.begin(), right.types.end());
 
   size_t nkeys = node.join_keys.size();
-  // Build phase (serial, like the row path): evaluate the right key columns
-  // per batch, then index every non-NULL-keyed right row by key hash. Bucket
-  // vectors fill in global right-row order, which is what makes the match
-  // order — and therefore the output — identical to the serial row probe.
+  size_t left_width = left.types.size();
+  size_t right_width = right.types.size();
+  // Build phase (serial, like the row path): hash each right batch's key
+  // columns, then keep every non-NULL-keyed right row, in global right-row
+  // order, as a dense build row whose keys and payload are gathered once.
   std::vector<std::vector<VecColumn>> right_keys(right.batches.size());
-  std::unordered_map<uint64_t, std::vector<uint64_t>> build;
+  std::vector<uint32_t> build_batch, build_row;  // a build row's source
+  std::vector<uint64_t> build_hash;
+  std::vector<uint64_t> hashes;
   for (size_t rb = 0; rb < right.batches.size(); ++rb) {
     const VecBatch& b = right.batches[rb];
     if (b.num_rows == 0) continue;
@@ -654,20 +701,53 @@ Status ExecVecHashJoin(const PlanNode& node, VecExec& ex, VecResult* out) {
         return ArenaExhausted();
       }
     }
+    HashKeys(right_keys[rb], b, &hashes);
     size_t active = b.ActiveRows();
     for (size_t i = 0; i < active; ++i) {
       size_t row = b.RowAt(i);
       if (AnyNullKey(right_keys[rb], row)) continue;  // NULL keys never match
-      build[KeysHash(right_keys[rb], row)].push_back(
-          (static_cast<uint64_t>(rb) << 32) | static_cast<uint64_t>(row));
+      build_batch.push_back(static_cast<uint32_t>(rb));
+      build_row.push_back(static_cast<uint32_t>(row));
+      build_hash.push_back(hashes[i]);
+    }
+  }
+  const size_t m = build_hash.size();
+  std::vector<VecColumn> build_keys(nkeys);
+  for (size_t k = 0; k < nkeys; ++k) {
+    DataType type = InferExprType(*node.join_keys[k].second, right.types)
+                        .value_or(DataType::kNull);
+    if (!GatherCells(type, m, ex.arena, &build_keys[k], [&](size_t j) {
+          return GatherSource{&right_keys[build_batch[j]][k], build_row[j]};
+        })) {
+      return ArenaExhausted();
+    }
+  }
+  std::vector<VecColumn> build_cols(right_width);
+  for (size_t c = 0; c < right_width; ++c) {
+    if (!GatherCells(right.types[c], m, ex.arena, &build_cols[c], [&](size_t j) {
+          return GatherSource{&right.batches[build_batch[j]].cols[c],
+                              build_row[j]};
+        })) {
+      return ArenaExhausted();
+    }
+  }
+  // One slot per distinct hash heads a chain (`next`) of the build rows with
+  // that hash in build order — the match order of the serial row probe.
+  constexpr uint32_t kEnd = FlatTable::kEmpty;
+  FlatTable table(m);
+  std::vector<uint32_t> next(m, kEnd);
+  for (size_t j = m; j-- > 0;) {
+    size_t s = table.Find(build_hash[j]);
+    if (table.ids[s] == kEnd) {
+      table.Claim(s, build_hash[j], static_cast<uint32_t>(j));
+    } else {
+      next[j] = table.ids[s];
+      table.ids[s] = static_cast<uint32_t>(j);
     }
   }
 
-  size_t left_width = left.types.size();
-  size_t right_width = right.types.size();
   out->batches.assign(left.batches.size(), VecBatch{});
   BatchBudget budget(ex.ctx);
-  constexpr uint32_t kPad = UINT32_MAX;  // left-join NULL padding marker
   bool draining = ex.ctx.soft_stopped();
 
   // Probes one left batch and materializes its output batch (dense gather,
@@ -681,59 +761,51 @@ Status ExecVecHashJoin(const PlanNode& node, VecExec& ex, VecResult* out) {
         return false;
       }
     }
-    // (left row, packed right ref) match pairs in serial probe order.
-    std::vector<std::pair<uint32_t, uint64_t>> matches;
+    std::vector<uint64_t> lhash;
+    HashKeys(lkeys, b, &lhash);
+    // Match vectors in serial probe order: left row and build row (kEnd =
+    // left-join NULL padding).
+    std::vector<uint32_t> lrows, rrows;
     size_t active = b.ActiveRows();
+    lrows.reserve(active);
+    rrows.reserve(active);
     for (size_t i = 0; i < active; ++i) {
       size_t row = b.RowAt(i);
       bool matched = false;
       if (!AnyNullKey(lkeys, row)) {
-        auto it = build.find(KeysHash(lkeys, row));
-        if (it != build.end()) {
-          for (uint64_t packed : it->second) {
-            size_t rb = static_cast<size_t>(packed >> 32);
-            size_t rr = static_cast<size_t>(packed & 0xffffffffULL);
-            bool equal = true;
-            for (size_t k = 0; k < nkeys && equal; ++k) {
-              equal = CellEquals(lkeys[k], row, right_keys[rb][k], rr,
-                                 /*nulls_equal=*/false);
-            }
-            if (!equal) continue;  // hash collision
-            matched = true;
-            matches.emplace_back(static_cast<uint32_t>(row), packed);
+        for (uint32_t j = table.ids[table.Find(lhash[i])]; j != kEnd; j = next[j]) {
+          bool equal = true;
+          for (size_t k = 0; k < nkeys && equal; ++k) {
+            equal = CellEquals(lkeys[k], row, build_keys[k], j,
+                               /*nulls_equal=*/false);
           }
+          if (!equal) continue;  // hash collision
+          matched = true;
+          lrows.push_back(static_cast<uint32_t>(row));
+          rrows.push_back(j);
         }
       }
       if (!matched && node.join_type == JoinType::kLeft) {
-        matches.emplace_back(static_cast<uint32_t>(row),
-                             (static_cast<uint64_t>(kPad) << 32) | kPad);
+        lrows.push_back(static_cast<uint32_t>(row));
+        rrows.push_back(kEnd);
       }
     }
     VecBatch& ob = out->batches[lb];
-    ob.num_rows = matches.size();
+    ob.num_rows = lrows.size();
     ob.cols.resize(left_width + right_width);
-    std::vector<GatherSource> cells(matches.size());
     for (size_t c = 0; c < left_width; ++c) {
-      for (size_t m = 0; m < matches.size(); ++m) {
-        cells[m] = GatherSource{&b.cols[c], matches[m].first};
-      }
-      if (!GatherColumn(cells, left.types[c], ex.arena, &ob.cols[c])) {
+      if (!GatherCells(left.types[c], lrows.size(), ex.arena, &ob.cols[c],
+                       [&](size_t i) { return GatherSource{&b.cols[c], lrows[i]}; })) {
         return false;
       }
     }
     for (size_t c = 0; c < right_width; ++c) {
-      for (size_t m = 0; m < matches.size(); ++m) {
-        uint64_t packed = matches[m].second;
-        uint32_t rb = static_cast<uint32_t>(packed >> 32);
-        uint32_t rr = static_cast<uint32_t>(packed & 0xffffffffULL);
-        if (rb == kPad) {
-          cells[m] = GatherSource{};  // unmatched left row: NULL pad
-        } else {
-          cells[m] = GatherSource{&right.batches[rb].cols[c], rr};
-        }
-      }
-      if (!GatherColumn(cells, right.types[c], ex.arena,
-                        &ob.cols[left_width + c])) {
+      if (!GatherCells(right.types[c], rrows.size(), ex.arena,
+                       &ob.cols[left_width + c], [&](size_t i) {
+                         return rrows[i] == kEnd
+                                    ? GatherSource{}
+                                    : GatherSource{&build_cols[c], rrows[i]};
+                       })) {
         return false;
       }
     }
@@ -769,22 +841,193 @@ Status ExecVecHashJoin(const PlanNode& node, VecExec& ex, VecResult* out) {
   return ex.ctx.TakeError();
 }
 
-/// Typed per-group accumulator. Only the fields the (statically typed)
-/// aggregate actually reads are maintained; the replication targets are the
-/// row path's AggState transitions, including its quirks (NaN never replaces
-/// a min/max; int sums wrap two's-complement — accumulated unsigned, like
-/// AggState, because signed overflow is UB; finalize rounds through llround
-/// even at scale 1.0).
-struct VAggState {
-  int64_t count = 0;
-  double sum_double = 0.0;
-  uint64_t sum_int = 0;
-  bool any = false;
-  bool has = false;  // min/max seen a value
-  int64_t min_i = 0, max_i = 0;
-  double min_d = 0.0, max_d = 0.0;
-  std::string_view min_s, max_s;
+/// One aggregate's typed accumulators, stored column-wise with one slot per
+/// group; only the arrays its function and argument type read are sized.
+/// The update rules replicate the row path's AggState transitions,
+/// including its quirks (NaN never replaces a min/max; int sums wrap
+/// two's-complement — accumulated unsigned, like AggState, because signed
+/// overflow is UB; finalize rounds through llround even at scale 1.0).
+struct AggColumn {
+  /// Non-NULL values seen (every row for COUNT(*)); a group's SUM, AVG, MIN
+  /// and MAX are NULL exactly while it is 0.
+  std::vector<int64_t> count;
+  std::vector<uint64_t> sum_int;
+  std::vector<double> sum_double;
+  /// The running MIN or MAX, by argument type.
+  std::vector<int64_t> ext_i;
+  std::vector<double> ext_d;
+  std::vector<std::string_view> ext_s;
+
+  void Resize(const AggregateExpr& agg, DataType arg, DataType result,
+              size_t n) {
+    count.resize(n);
+    switch (agg.func) {
+      case AggFunc::kCount:
+        break;
+      case AggFunc::kSum:
+      case AggFunc::kAvg:
+        if (result == DataType::kInt64) {
+          sum_int.resize(n);
+        } else {
+          sum_double.resize(n);
+        }
+        break;
+      case AggFunc::kMin:
+      case AggFunc::kMax:
+        if (arg == DataType::kInt64) ext_i.resize(n);
+        if (arg == DataType::kFloat64) ext_d.resize(n);
+        if (arg == DataType::kString) ext_s.resize(n);
+        break;
+    }
+  }
 };
+
+/// Folds one batch into `acc`: active row i belongs to group `gid[i]`, and
+/// `arg` is the aggregate's argument column (unused for COUNT(*)).
+void UpdateAgg(const AggregateExpr& agg, DataType arg_type, DataType result,
+               const VecColumn& arg, const VecBatch& b, const uint32_t* gid,
+               AggColumn* acc) {
+  const size_t n = b.ActiveRows();
+  int64_t* count = acc->count.data();
+  if (agg.arg == nullptr) {
+    for (size_t i = 0; i < n; ++i) ++count[gid[i]];
+    return;
+  }
+  // Visits the active rows whose argument is non-NULL (aggregates skip
+  // NULLs) in input order, then counts the value.
+  auto each = [&](auto fn) {
+    for (size_t i = 0; i < n; ++i) {
+      size_t row = b.RowAt(i);
+      if (!ValidAt(arg, row)) continue;
+      fn(gid[i], row);
+      ++count[gid[i]];
+    }
+  };
+  const bool want_min = agg.func == AggFunc::kMin;
+  switch (agg.func) {
+    case AggFunc::kCount:
+      each([](uint32_t, size_t) {});
+      break;
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      if (result == DataType::kInt64) {
+        uint64_t* sum = acc->sum_int.data();
+        each([&](uint32_t g, size_t row) {
+          sum[g] += static_cast<uint64_t>(arg.i64[row]);
+        });
+      } else if (arg_type == DataType::kInt64) {
+        double* sum = acc->sum_double.data();
+        each([&](uint32_t g, size_t row) {
+          sum[g] += static_cast<double>(arg.i64[row]);
+        });
+      } else {
+        double* sum = acc->sum_double.data();
+        each([&](uint32_t g, size_t row) { sum[g] += arg.f64[row]; });
+      }
+      break;
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      // `v < ext` is false for NaN operands, replicating the row path's
+      // Compare()==0 treatment of NaN (never replaces, never gets replaced).
+      if (arg_type == DataType::kInt64) {
+        int64_t* ext = acc->ext_i.data();
+        each([&](uint32_t g, size_t row) {
+          int64_t v = arg.i64[row];
+          if (count[g] == 0 || (want_min ? v < ext[g] : v > ext[g])) ext[g] = v;
+        });
+      } else if (arg_type == DataType::kFloat64) {
+        double* ext = acc->ext_d.data();
+        each([&](uint32_t g, size_t row) {
+          double v = arg.f64[row];
+          if (count[g] == 0 || (want_min ? v < ext[g] : v > ext[g])) ext[g] = v;
+        });
+      } else {
+        std::string_view* ext = acc->ext_s.data();
+        each([&](uint32_t g, size_t row) {
+          std::string_view v = StrAt(arg, row);
+          if (count[g] == 0 || (want_min ? v < ext[g] : v > ext[g])) ext[g] = v;
+        });
+      }
+      break;
+  }
+}
+
+/// Writes one aggregate's output column for `n` groups, replicating the row
+/// path's finalize exactly, Horvitz-Thompson `scale` for sampled inputs
+/// included (DISTINCT never reaches this engine, so every COUNT and SUM
+/// scales; the llround round-trip runs even at scale 1.0, as on the row
+/// path). False on arena exhaustion.
+bool FinalizeAgg(const AggregateExpr& agg, DataType type, const AggColumn& acc,
+                 size_t n, double scale, Arena* arena, VecColumn* col) {
+  col->type = type;
+  uint8_t* valid = arena->AllocateArrayOf<uint8_t>(n);
+  if (valid == nullptr) return false;
+  col->valid = valid;
+  for (size_t g = 0; g < n; ++g) {
+    valid[g] = agg.func == AggFunc::kCount || acc.count[g] > 0 ? 1 : 0;
+  }
+  // Fills a fresh array of T with value(g) for the valid groups.
+  auto fill = [&](auto* data, auto value) {
+    if (data == nullptr) return false;
+    for (size_t g = 0; g < n; ++g) {
+      data[g] = valid[g] != 0 ? value(g) : decltype(value(g)){};
+    }
+    return true;
+  };
+  switch (agg.func) {
+    case AggFunc::kCount: {
+      int64_t* data = arena->AllocateArrayOf<int64_t>(n);
+      col->i64 = data;
+      return fill(data, [&](size_t g) {
+        return static_cast<int64_t>(
+            std::llround(static_cast<double>(acc.count[g]) * scale));
+      });
+    }
+    case AggFunc::kSum:
+      if (type == DataType::kInt64) {
+        int64_t* data = arena->AllocateArrayOf<int64_t>(n);
+        col->i64 = data;
+        return fill(data, [&](size_t g) {
+          return static_cast<int64_t>(std::llround(
+              static_cast<double>(static_cast<int64_t>(acc.sum_int[g])) * scale));
+        });
+      } else {
+        double* data = arena->AllocateArrayOf<double>(n);
+        col->f64 = data;
+        return fill(data, [&](size_t g) { return acc.sum_double[g] * scale; });
+      }
+    case AggFunc::kAvg: {
+      double* data = arena->AllocateArrayOf<double>(n);
+      col->f64 = data;
+      return fill(data, [&](size_t g) {
+        return acc.sum_double[g] / static_cast<double>(acc.count[g]);
+      });
+    }
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      switch (type) {
+        case DataType::kInt64: {
+          int64_t* data = arena->AllocateArrayOf<int64_t>(n);
+          col->i64 = data;
+          return fill(data, [&](size_t g) { return acc.ext_i[g]; });
+        }
+        case DataType::kFloat64: {
+          double* data = arena->AllocateArrayOf<double>(n);
+          col->f64 = data;
+          return fill(data, [&](size_t g) { return acc.ext_d[g]; });
+        }
+        default: {  // kString
+          StringRef* data = arena->AllocateArrayOf<StringRef>(n);
+          col->refs = data;
+          return fill(data, [&](size_t g) {
+            std::string_view s = acc.ext_s[g];
+            return StringRef{s.data(), static_cast<uint32_t>(s.size())};
+          });
+        }
+      }
+  }
+  return true;
+}
 
 Status ExecVecAggregate(const PlanNode& node, VecExec& ex, VecResult* out) {
   VecResult input;
@@ -802,17 +1045,23 @@ Status ExecVecAggregate(const PlanNode& node, VecExec& ex, VecResult* out) {
     }
   }
 
-  struct VGroup {
-    size_t batch = 0;   // exemplar position for the group-key values
-    uint32_t row = 0;
-    std::vector<VAggState> states;
-  };
-  std::vector<VGroup> groups;  // insertion order == output order
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
+  // Groups in first-appearance order (== output order), each with the
+  // position of an exemplar row for its key values.
+  std::vector<uint32_t> group_batch, group_row;
+  FlatTable table(64);
+  std::vector<AggColumn> accs(naggs);
   // Group-key columns per batch must outlive the accumulation loop: group
   // exemplars reference them at finalize. (Arena memory lives until the
   // query ends, so the views stay valid.)
   std::vector<std::vector<VecColumn>> key_cols(input.batches.size());
+  std::vector<uint64_t> hashes;
+  std::vector<uint32_t> gid;
+  auto resize_accs = [&]() {
+    for (size_t a = 0; a < naggs; ++a) {
+      accs[a].Resize(node.aggregates[a], arg_types[a], out->types[ngroup + a],
+                     group_batch.size());
+    }
+  };
 
   bool draining = ex.ctx.soft_stopped();
   for (size_t bi = 0; bi < input.batches.size(); ++bi) {
@@ -836,207 +1085,195 @@ Status ExecVecAggregate(const PlanNode& node, VecExec& ex, VecResult* out) {
         return ArenaExhausted();
       }
     }
+    // Hash the batch, then resolve every active row to its group id.
+    HashKeys(keys, b, &hashes);
     size_t active = b.ActiveRows();
+    gid.resize(active);
     for (size_t i = 0; i < active; ++i) {
       size_t row = b.RowAt(i);
-      uint64_t h = KeysHash(keys, row);
-      std::vector<size_t>& bucket = buckets[h];
-      VGroup* group = nullptr;
-      for (size_t gi : bucket) {
-        VGroup& g = groups[gi];
+      for (size_t s = table.Home(hashes[i]);; s = table.Next(s)) {
+        uint32_t g = table.ids[s];
+        if (g == FlatTable::kEmpty) {
+          g = static_cast<uint32_t>(group_batch.size());
+          group_batch.push_back(static_cast<uint32_t>(bi));
+          group_row.push_back(static_cast<uint32_t>(row));
+          table.Claim(s, hashes[i], g);
+          gid[i] = g;
+          break;
+        }
+        if (table.hashes[s] != hashes[i]) continue;
         bool equal = true;
         for (size_t k = 0; k < ngroup && equal; ++k) {
-          equal = CellEquals(keys[k], row, key_cols[g.batch][k], g.row,
-                             /*nulls_equal=*/true);
+          equal = CellEquals(keys[k], row, key_cols[group_batch[g]][k],
+                             group_row[g], /*nulls_equal=*/true);
         }
         if (equal) {
-          group = &g;
+          gid[i] = g;
           break;
         }
       }
-      if (group == nullptr) {
-        bucket.push_back(groups.size());
-        groups.push_back(VGroup{bi, static_cast<uint32_t>(row),
-                                std::vector<VAggState>(naggs)});
-        group = &groups.back();
-      }
-      for (size_t a = 0; a < naggs; ++a) {
-        VAggState& st = group->states[a];
-        const AggregateExpr& agg = node.aggregates[a];
-        if (agg.arg == nullptr) {
-          st.any = true;
-          ++st.count;
-          continue;
-        }
-        const VecColumn& c = args[a];
-        if (!ValidAt(c, row)) continue;  // aggregates skip NULLs
-        st.any = true;
-        ++st.count;
-        switch (arg_types[a]) {
-          case DataType::kInt64: {
-            int64_t v = c.i64[row];
-            st.sum_int += static_cast<uint64_t>(v);
-            st.sum_double += static_cast<double>(v);
-            if (!st.has || v < st.min_i) st.min_i = v;
-            if (!st.has || v > st.max_i) st.max_i = v;
-            break;
-          }
-          case DataType::kFloat64: {
-            double v = c.f64[row];
-            st.sum_double += v;
-            // `v < min` is false for NaN operands, replicating the row
-            // path's Compare()==0 treatment of NaN (never replaces, never
-            // gets replaced).
-            if (!st.has || v < st.min_d) st.min_d = v;
-            if (!st.has || v > st.max_d) st.max_d = v;
-            break;
-          }
-          case DataType::kString: {
-            std::string_view v = StrAt(c, row);
-            if (!st.has || v < st.min_s) st.min_s = v;
-            if (!st.has || v > st.max_s) st.max_s = v;
-            break;
-          }
-          default:
-            break;  // COUNT over bool: only count/any matter
-        }
-        st.has = true;
-      }
+    }
+    resize_accs();
+    for (size_t a = 0; a < naggs; ++a) {
+      UpdateAgg(node.aggregates[a], arg_types[a], out->types[ngroup + a],
+                args[a], b, gid.data(), &accs[a]);
     }
     Metrics().vec_batches->Increment();
   }
 
   // Global aggregate over empty input still emits one row of defaults.
-  if (groups.empty() && ngroup == 0 && naggs > 0) {
-    groups.push_back(VGroup{0, 0, std::vector<VAggState>(naggs)});
+  if (group_batch.empty() && ngroup == 0 && naggs > 0) {
+    group_batch.push_back(0);
+    group_row.push_back(0);
+    resize_accs();
   }
 
-  size_t n = groups.size();
+  size_t n = group_batch.size();
   out->batches.clear();
   if (n == 0) return ex.ctx.TakeError();
   VecBatch ob;
   ob.num_rows = n;
   ob.cols.resize(ngroup + naggs);
   // Group-key output columns: gather each group's exemplar cell.
-  std::vector<GatherSource> cells(n);
   for (size_t k = 0; k < ngroup; ++k) {
-    for (size_t g = 0; g < n; ++g) {
-      cells[g] = GatherSource{&key_cols[groups[g].batch][k], groups[g].row};
-    }
-    if (!GatherColumn(cells, out->types[k], ex.arena, &ob.cols[k])) {
+    if (!GatherCells(out->types[k], n, ex.arena, &ob.cols[k], [&](size_t g) {
+          return GatherSource{&key_cols[group_batch[g]][k], group_row[g]};
+        })) {
       return ArenaExhausted();
     }
   }
-  // Aggregate output columns, replicating the row path's finalize exactly,
-  // Horvitz-Thompson scale for sampled inputs included (DISTINCT never
-  // reaches this engine, so every COUNT and SUM scales; the llround
-  // round-trip runs even at scale 1.0, as on the row path).
   double scale = 1.0;
   if (input.approximate && input.sample_rate > 0.0 &&
       input.sample_rate < 1.0) {
     scale = 1.0 / input.sample_rate;
   }
   for (size_t a = 0; a < naggs; ++a) {
-    const AggregateExpr& agg = node.aggregates[a];
-    VecColumn& col = ob.cols[ngroup + a];
-    col.type = out->types[ngroup + a];
-    uint8_t* valid = ex.arena->AllocateArrayOf<uint8_t>(n);
-    if (valid == nullptr) return ArenaExhausted();
-    col.valid = valid;
-    switch (agg.func) {
-      case AggFunc::kCount: {
-        int64_t* data = ex.arena->AllocateArrayOf<int64_t>(n);
-        if (data == nullptr) return ArenaExhausted();
-        for (size_t g = 0; g < n; ++g) {
-          valid[g] = 1;
-          data[g] = static_cast<int64_t>(std::llround(
-              static_cast<double>(groups[g].states[a].count) * scale));
-        }
-        col.i64 = data;
-        break;
-      }
-      case AggFunc::kSum: {
-        if (col.type == DataType::kInt64) {
-          int64_t* data = ex.arena->AllocateArrayOf<int64_t>(n);
-          if (data == nullptr) return ArenaExhausted();
-          for (size_t g = 0; g < n; ++g) {
-            const VAggState& st = groups[g].states[a];
-            valid[g] = st.any ? 1 : 0;
-            data[g] = st.any
-                          ? static_cast<int64_t>(std::llround(
-                                static_cast<double>(
-                                    static_cast<int64_t>(st.sum_int)) *
-                                scale))
-                          : 0;
-          }
-          col.i64 = data;
-        } else {
-          double* data = ex.arena->AllocateArrayOf<double>(n);
-          if (data == nullptr) return ArenaExhausted();
-          for (size_t g = 0; g < n; ++g) {
-            const VAggState& st = groups[g].states[a];
-            valid[g] = st.any ? 1 : 0;
-            data[g] = st.any ? st.sum_double * scale : 0.0;
-          }
-          col.f64 = data;
-        }
-        break;
-      }
-      case AggFunc::kAvg: {
-        double* data = ex.arena->AllocateArrayOf<double>(n);
-        if (data == nullptr) return ArenaExhausted();
-        for (size_t g = 0; g < n; ++g) {
-          const VAggState& st = groups[g].states[a];
-          valid[g] = st.any ? 1 : 0;
-          data[g] = st.any ? st.sum_double / static_cast<double>(st.count) : 0.0;
-        }
-        col.f64 = data;
-        break;
-      }
-      case AggFunc::kMin:
-      case AggFunc::kMax: {
-        bool want_min = agg.func == AggFunc::kMin;
-        switch (col.type) {
-          case DataType::kInt64: {
-            int64_t* data = ex.arena->AllocateArrayOf<int64_t>(n);
-            if (data == nullptr) return ArenaExhausted();
-            for (size_t g = 0; g < n; ++g) {
-              const VAggState& st = groups[g].states[a];
-              valid[g] = st.has ? 1 : 0;
-              data[g] = want_min ? st.min_i : st.max_i;
-            }
-            col.i64 = data;
-            break;
-          }
-          case DataType::kFloat64: {
-            double* data = ex.arena->AllocateArrayOf<double>(n);
-            if (data == nullptr) return ArenaExhausted();
-            for (size_t g = 0; g < n; ++g) {
-              const VAggState& st = groups[g].states[a];
-              valid[g] = st.has ? 1 : 0;
-              data[g] = want_min ? st.min_d : st.max_d;
-            }
-            col.f64 = data;
-            break;
-          }
-          default: {  // kString
-            StringRef* data = ex.arena->AllocateArrayOf<StringRef>(n);
-            if (data == nullptr) return ArenaExhausted();
-            for (size_t g = 0; g < n; ++g) {
-              const VAggState& st = groups[g].states[a];
-              valid[g] = st.has ? 1 : 0;
-              std::string_view s = want_min ? st.min_s : st.max_s;
-              data[g] = StringRef{s.data(), static_cast<uint32_t>(s.size())};
-            }
-            col.refs = data;
-            break;
-          }
-        }
-        break;
-      }
+    if (!FinalizeAgg(node.aggregates[a], out->types[ngroup + a], accs[a], n,
+                     scale, ex.arena, &ob.cols[ngroup + a])) {
+      return ArenaExhausted();
     }
   }
   out->batches.push_back(std::move(ob));
+  return ex.ctx.TakeError();
+}
+
+/// Three-way comparison of two cells of one column, as Value::Compare orders
+/// the values they materialize to: NULL lowest, BIGINT exactly, DOUBLE by
+/// `<` and `>` (so NaN compares equal to everything), strings bytewise.
+int CompareCells(const VecColumn& c, size_t a, size_t b) {
+  bool av = ValidAt(c, a);
+  bool bv = ValidAt(c, b);
+  if (!av || !bv) return av == bv ? 0 : (av ? 1 : -1);
+  switch (c.type) {
+    case DataType::kInt64:
+      return c.i64[a] < c.i64[b] ? -1 : (c.i64[a] > c.i64[b] ? 1 : 0);
+    case DataType::kFloat64:
+      return c.f64[a] < c.f64[b] ? -1 : (c.f64[a] > c.f64[b] ? 1 : 0);
+    case DataType::kBool:
+      return (c.b8[a] != 0 ? 1 : 0) - (c.b8[b] != 0 ? 1 : 0);
+    case DataType::kString: {
+      int r = StrAt(c, a).compare(StrAt(c, b));
+      return r < 0 ? -1 : (r > 0 ? 1 : 0);
+    }
+    default:
+      return 0;
+  }
+}
+
+/// Sorts the child's rows with the row path's stable sort over the same
+/// comparisons, so ties (and NaN keys) keep the row path's order.
+Status ExecVecSort(const PlanNode& node, VecExec& ex, VecResult* out) {
+  VecResult input;
+  AF_RETURN_IF_ERROR(ExecVecNode(*node.children[0], ex, &input));
+  out->types = input.types;
+  out->approximate = input.approximate;
+  out->sample_rate = input.sample_rate;
+  const size_t nkeys = node.sort_keys.size();
+  // Position of every active input row, and its sort keys evaluated per
+  // batch then gathered densely in input order.
+  std::vector<uint32_t> src_batch, src_row;
+  std::vector<std::vector<VecColumn>> key_cols(input.batches.size());
+  for (size_t bi = 0; bi < input.batches.size(); ++bi) {
+    const VecBatch& b = input.batches[bi];
+    if (b.ActiveRows() == 0) continue;
+    key_cols[bi].resize(nkeys);
+    for (size_t k = 0; k < nkeys; ++k) {
+      if (!EvalExprBatch(*node.sort_keys[k].expr, b, ex.arena, &key_cols[bi][k])) {
+        return ArenaExhausted();
+      }
+    }
+    for (size_t i = 0; i < b.ActiveRows(); ++i) {
+      src_batch.push_back(static_cast<uint32_t>(bi));
+      src_row.push_back(static_cast<uint32_t>(b.RowAt(i)));
+    }
+  }
+  const size_t n = src_row.size();
+  std::vector<VecColumn> keys(nkeys);
+  for (size_t k = 0; k < nkeys; ++k) {
+    DataType type = InferExprType(*node.sort_keys[k].expr, input.types)
+                        .value_or(DataType::kNull);
+    if (!GatherCells(type, n, ex.arena, &keys[k], [&](size_t i) {
+          return GatherSource{&key_cols[src_batch[i]][k], src_row[i]};
+        })) {
+      return ArenaExhausted();
+    }
+  }
+  auto compare = [&](size_t a, size_t b) {
+    for (size_t k = 0; k < nkeys; ++k) {
+      int c = CompareCells(keys[k], a, b);
+      if (c != 0) return node.sort_keys[k].ascending ? c : -c;
+    }
+    return 0;
+  };
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return compare(a, b) < 0; });
+  out->batches.clear();
+  if (n == 0) return ex.ctx.TakeError();
+  VecBatch ob;
+  ob.num_rows = n;
+  ob.cols.resize(out->types.size());
+  for (size_t c = 0; c < out->types.size(); ++c) {
+    if (!GatherCells(out->types[c], n, ex.arena, &ob.cols[c], [&](size_t i) {
+          return GatherSource{&input.batches[src_batch[order[i]]].cols[c],
+                              src_row[order[i]]};
+        })) {
+      return ArenaExhausted();
+    }
+  }
+  out->batches.push_back(std::move(ob));
+  return ex.ctx.TakeError();
+}
+
+/// The row path's LIMIT: rows [offset, offset + limit) of the child's
+/// output, a negative offset read as 0 and a negative limit as none.
+Status ExecVecLimit(const PlanNode& node, VecExec& ex, VecResult* out) {
+  AF_RETURN_IF_ERROR(ExecVecNode(*node.children[0], ex, out));
+  size_t skip = node.offset > 0 ? static_cast<size_t>(node.offset) : 0;
+  size_t take = node.limit >= 0 ? static_cast<size_t>(node.limit) : SIZE_MAX;
+  // Narrow each batch's selection to its share of the window.
+  for (VecBatch& b : out->batches) {
+    size_t active = b.ActiveRows();
+    size_t drop = std::min(skip, active);
+    size_t kept = std::min(take, active - drop);
+    skip -= drop;
+    take -= kept;
+    if (kept == active) continue;
+    if (kept == 0) {
+      b.sel = kNoRows;
+      b.sel_size = 0;
+    } else if (b.sel != nullptr) {
+      b.sel += drop;  // a sub-range of an ascending selection is one too
+      b.sel_size = kept;
+    } else {
+      uint32_t* sel = ex.arena->AllocateArrayOf<uint32_t>(kept);
+      if (sel == nullptr) return ArenaExhausted();
+      for (size_t i = 0; i < kept; ++i) sel[i] = static_cast<uint32_t>(drop + i);
+      b.sel = sel;
+      b.sel_size = kept;
+    }
+  }
   return ex.ctx.TakeError();
 }
 
@@ -1050,6 +1287,8 @@ Status ExecVecNode(const PlanNode& node, VecExec& ex, VecResult* out) {
       case PlanKind::kProject: return ExecVecProject(node, ex, out);
       case PlanKind::kHashJoin: return ExecVecHashJoin(node, ex, out);
       case PlanKind::kAggregate: return ExecVecAggregate(node, ex, out);
+      case PlanKind::kSort: return ExecVecSort(node, ex, out);
+      case PlanKind::kLimit: return ExecVecLimit(node, ex, out);
       default:
         return Status::Internal("operator is not vectorized: " +
                                 std::string(PlanKindName(node.kind)));

@@ -11,9 +11,10 @@ namespace vec {
 /// True when the whole sub-plan rooted at `node` converts to typed batch
 /// kernels: scans without index acceleration, filters/projections over
 /// vectorizable expressions (see InferExprType), inner/left equi-joins
-/// without residual predicates, and non-DISTINCT aggregates over numeric or
-/// string arguments. Sort, limit, union, and nested-loop joins stay on the
-/// row path (their children are re-gated individually by ExecNode).
+/// without residual predicates, non-DISTINCT aggregates over numeric or
+/// string arguments, sorts on vectorizable keys, and limits. Union and
+/// nested-loop joins stay on the row path (their children are re-gated
+/// individually by ExecNode).
 bool CanVectorize(const PlanNode& node);
 
 /// Executes a CanVectorize() sub-plan end-to-end on columnar batches with a

@@ -86,7 +86,11 @@ bool AgenticMemoryStore::IsStale(const MemoryArtifact& a) const {
   return false;
 }
 
-void AgenticMemoryStore::Touch(MemoryArtifact* a) { a->last_used_tick = ++tick_; }
+void AgenticMemoryStore::Touch(MemoryArtifact* a) {
+  lru_.erase({a->last_used_tick, a->id});
+  a->last_used_tick = ++tick_;
+  lru_.emplace_hint(lru_.end(), a->last_used_tick, a->id);
+}
 
 uint64_t AgenticMemoryStore::Put(MemoryArtifact artifact) {
   ++stats_.puts;
@@ -100,31 +104,32 @@ uint64_t AgenticMemoryStore::Put(MemoryArtifact artifact) {
       if (table.ok()) artifact.table_versions[dep] = (*table)->data_version();
     }
   }
-  // Supersede same-key same-owner artifacts.
-  for (size_t i = 0; i < artifacts_.size(); ++i) {
-    if (artifacts_[i]->key == artifact.key && artifacts_[i]->owner == artifact.owner) {
-      RemoveAt(i);
-      break;
-    }
+  // Supersede the first same-key same-owner artifact.
+  if (auto it = by_key_.find(artifact.key); it != by_key_.end()) {
+    auto same = std::find_if(it->second.begin(), it->second.end(),
+                             [&](const MemoryArtifact* a) {
+                               return a->owner == artifact.owner;
+                             });
+    if (same != it->second.end()) RemoveAt(IndexOf((*same)->id));
   }
-  Embedding emb = EmbedText(artifact.key + " " + artifact.content);
-  uint64_t id = artifact.id;
-  artifacts_.push_back(std::make_unique<MemoryArtifact>(std::move(artifact)));
-  embeddings_.push_back(std::move(emb));
-  if (listener_ != nullptr) listener_->OnPut(*artifacts_.back());
+  const MemoryArtifact* stored = Insert(std::move(artifact));
+  uint64_t id = stored->id;
+  if (listener_ != nullptr) listener_->OnPut(*stored);
   EvictIfNeeded();
   return id;
 }
 
 std::optional<MemoryHit> AgenticMemoryStore::GetExact(const std::string& key,
                                                       const std::string& principal) {
-  for (size_t i = 0; i < artifacts_.size(); ++i) {
-    MemoryArtifact* a = artifacts_[i].get();
-    if (a->key != key || !Visible(*a, principal)) continue;
+  auto it = by_key_.find(key);
+  const size_t n = it == by_key_.end() ? 0 : it->second.size();
+  for (size_t j = 0; j < n; ++j) {
+    MemoryArtifact* a = it->second[j];
+    if (!Visible(*a, principal)) continue;
     if (IsStale(*a)) {
       if (options_.staleness == StalenessPolicy::kEager) {
         ++stats_.stale_dropped;
-        RemoveAt(i);
+        RemoveAt(IndexOf(a->id));
         ++stats_.exact_misses;
         return std::nullopt;
       }
@@ -239,19 +244,51 @@ Result<size_t> AgenticMemoryStore::LoadFromFile(const std::string& path) {
 
 void AgenticMemoryStore::EvictIfNeeded() {
   while (artifacts_.size() > options_.capacity) {
-    size_t lru = 0;
-    for (size_t i = 1; i < artifacts_.size(); ++i) {
-      if (artifacts_[i]->last_used_tick < artifacts_[lru]->last_used_tick) lru = i;
-    }
-    RemoveAt(lru);
+    RemoveAt(IndexOf(lru_.begin()->second));
     ++stats_.evictions;
   }
 }
 
-void AgenticMemoryStore::RemoveAt(size_t i) {
-  uint64_t id = artifacts_[i]->id;
+MemoryArtifact* AgenticMemoryStore::Insert(MemoryArtifact artifact) {
+  Embedding emb = EmbedText(artifact.key + " " + artifact.content);
+  auto owned = std::make_unique<MemoryArtifact>(std::move(artifact));
+  MemoryArtifact* a = owned.get();
+  // Puts carry the largest id so far and append; only a restore can land
+  // before the end.
+  size_t pos = IndexOf(a->id);
+  artifacts_.insert(artifacts_.begin() + static_cast<long>(pos), std::move(owned));
+  embeddings_.insert(embeddings_.begin() + static_cast<long>(pos), std::move(emb));
+  std::vector<MemoryArtifact*>& same_key = by_key_[a->key];
+  same_key.insert(std::upper_bound(same_key.begin(), same_key.end(), a->id,
+                                   [](uint64_t id, const MemoryArtifact* b) {
+                                     return id < b->id;
+                                   }),
+                  a);
+  lru_.emplace(a->last_used_tick, a->id);
+  return a;
+}
+
+size_t AgenticMemoryStore::IndexOf(uint64_t id) const {
+  auto it = std::lower_bound(
+      artifacts_.begin(), artifacts_.end(), id,
+      [](const std::unique_ptr<MemoryArtifact>& a, uint64_t v) { return a->id < v; });
+  return static_cast<size_t>(it - artifacts_.begin());
+}
+
+void AgenticMemoryStore::Erase(size_t i) {
+  const MemoryArtifact* a = artifacts_[i].get();
+  auto it = by_key_.find(a->key);
+  std::vector<MemoryArtifact*>& same_key = it->second;
+  same_key.erase(std::find(same_key.begin(), same_key.end(), a));
+  if (same_key.empty()) by_key_.erase(it);
+  lru_.erase({a->last_used_tick, a->id});
   artifacts_.erase(artifacts_.begin() + static_cast<long>(i));
   embeddings_.erase(embeddings_.begin() + static_cast<long>(i));
+}
+
+void AgenticMemoryStore::RemoveAt(size_t i) {
+  uint64_t id = artifacts_[i]->id;
+  Erase(i);
   if (listener_ != nullptr) listener_->OnRemove(id);
 }
 
@@ -263,21 +300,15 @@ std::vector<const MemoryArtifact*> AgenticMemoryStore::SnapshotArtifacts() const
 }
 
 void AgenticMemoryStore::RestorePut(MemoryArtifact artifact) {
-  Embedding emb = EmbedText(artifact.key + " " + artifact.content);
   if (artifact.id >= next_id_) next_id_ = artifact.id + 1;
   if (artifact.created_tick > tick_) tick_ = artifact.created_tick;
   if (artifact.last_used_tick > tick_) tick_ = artifact.last_used_tick;
-  artifacts_.push_back(std::make_unique<MemoryArtifact>(std::move(artifact)));
-  embeddings_.push_back(std::move(emb));
+  Insert(std::move(artifact));
 }
 
 void AgenticMemoryStore::RestoreRemove(uint64_t id) {
-  for (size_t i = 0; i < artifacts_.size(); ++i) {
-    if (artifacts_[i]->id != id) continue;
-    artifacts_.erase(artifacts_.begin() + static_cast<long>(i));
-    embeddings_.erase(embeddings_.begin() + static_cast<long>(i));
-    return;
-  }
+  size_t i = IndexOf(id);
+  if (i < artifacts_.size() && artifacts_[i]->id == id) Erase(i);
 }
 
 }  // namespace agentfirst

@@ -5,7 +5,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -70,6 +73,10 @@ class MemoryMutationListener {
 /// structured lookup and embedding-based semantic search, staleness
 /// handling against catalog versions (eager invalidation or lazy detection),
 /// LRU eviction, and per-principal access control.
+///
+/// Artifacts are kept in store order, which is ascending id order. Exact
+/// lookups, supersede and eviction go through a key index and an LRU index
+/// instead of scanning every artifact; semantic search scores them all.
 class AgenticMemoryStore {
  public:
   enum class StalenessPolicy {
@@ -142,9 +149,10 @@ class AgenticMemoryStore {
   uint64_t tick() const { return tick_; }
 
   /// Recovery-only: re-inserts an already-stamped artifact exactly as
-  /// logged — no re-stamping, no supersede scan, no eviction, no listener
+  /// logged — no re-stamping, no supersede, no eviction, no listener
   /// callback (removals were logged separately and replay in order). Counter
   /// state advances so post-recovery puts continue the id/tick sequence.
+  /// The artifact takes its id's place in store order.
   void RestorePut(MemoryArtifact artifact);
   /// Recovery-only: removes the artifact with `id` (no-op when absent).
   void RestoreRemove(uint64_t id);
@@ -159,6 +167,13 @@ class AgenticMemoryStore {
   bool IsStale(const MemoryArtifact& a) const;
   void Touch(MemoryArtifact* a);
   void EvictIfNeeded();
+  /// Adds an already-stamped artifact at its id's place in store order and
+  /// to both indexes; returns the stored artifact.
+  MemoryArtifact* Insert(MemoryArtifact artifact);
+  /// Store-order slot where the artifact with `id` is, or would go.
+  size_t IndexOf(uint64_t id) const;
+  /// Erases slot `i` from the store and both indexes, without notifying.
+  void Erase(size_t i);
   /// Erases slot `i` and notifies the listener (the one removal funnel).
   void RemoveAt(size_t i);
 
@@ -169,9 +184,15 @@ class AgenticMemoryStore {
   Stats stats_;
   uint64_t next_id_ = 1;
   uint64_t tick_ = 0;
-  // id -> artifact; parallel embedding storage for semantic search.
+  // Artifacts in store order (ascending id); parallel embedding storage for
+  // semantic search.
   std::vector<std::unique_ptr<MemoryArtifact>> artifacts_;
   std::vector<Embedding> embeddings_;
+  /// key -> the artifacts with that key, in store order.
+  std::unordered_map<std::string, std::vector<MemoryArtifact*>> by_key_;
+  /// (last_used_tick, id) of every artifact; the first is the LRU victim,
+  /// ties going to the earlier artifact in store order.
+  std::set<std::pair<uint64_t, uint64_t>> lru_;
 };
 
 }  // namespace agentfirst

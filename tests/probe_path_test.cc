@@ -9,7 +9,8 @@
 //     (names, post-order, row counts), and an arena-exhaustion rerun leaves
 //     exactly one span per operator;
 //   - the result cache holds vectorized results at the sub-tree root only,
-//     and never a truncated one;
+//     and never a truncated one; the analytic workload's query shapes, sorts
+//     and limits included, are each one sub-tree;
 //   - sampled scans draw the row path's Bernoulli stream, so sampled
 //     answers, their `approximate` / `sample_rate` metadata, and the scaled
 //     COUNT and SUM are byte-identical at every thread count.
@@ -135,6 +136,9 @@ TEST_F(ProbePathExecTest, VectorizedSpansMatchTheRowPath) {
                        "ON big.n = dim.k WHERE big.id < 300"),
            std::string("SELECT name, count(*), sum(v) FROM big "
                        "WHERE id % 3 <> 1 GROUP BY name ORDER BY name"),
+           std::string("SELECT name, sum(v) AS total FROM big WHERE id % 3 <> 1 "
+                       "GROUP BY name ORDER BY total DESC, name LIMIT 3"),
+           std::string("SELECT id FROM big WHERE v > 100.0 LIMIT 20 OFFSET 5"),
        }) {
     obs::TraceSpan row_trace;
     ExecOptions row;
@@ -152,6 +156,12 @@ TEST_F(ProbePathExecTest, VectorizedSpansMatchTheRowPath) {
     auto row_ops = OpSpans(row_trace);
     ASSERT_FALSE(row_ops.empty()) << sql;
     EXPECT_EQ(OpSpans(vec_trace), row_ops) << sql;
+    if (sql.find("ORDER BY") != std::string::npos) {
+      EXPECT_NE(vec_trace.Find("op:Sort"), nullptr) << sql;
+    }
+    if (sql.find("LIMIT") != std::string::npos) {
+      EXPECT_NE(vec_trace.Find("op:Limit"), nullptr) << sql;
+    }
     for (const auto& child : vec_trace.children) {
       EXPECT_GE(child->duration_ms, 0.0) << sql << " " << child->name;
     }
@@ -213,6 +223,73 @@ TEST_F(ProbePathExecTest, CacheHoldsVectorizedRootResults) {
   EXPECT_EQ(first->get(), second->get());
   ASSERT_EQ(trace.children.size(), 1u);
   EXPECT_EQ(trace.children[0]->FindNote("cached"), "true");
+}
+
+TEST(ProbePathCacheTest, AnalyticShapesRunAsOneCachedRoot) {
+  // The perfbench `analytic` workload's four query shapes over a small copy
+  // of its tables: each runs as one vectorized sub-tree, sorts and limits
+  // included, so the cache holds only the answer itself.
+  Catalog catalog;
+  Engine engine(&catalog);
+  auto run = [&](const std::string& sql) {
+    auto r = engine.ExecuteSql(sql);
+    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  };
+  run("CREATE TABLE customers (cust_id BIGINT, segment VARCHAR, "
+      "country VARCHAR)");
+  run("CREATE TABLE orders (id BIGINT, cust BIGINT, region VARCHAR, "
+      "day BIGINT, qty BIGINT, price DOUBLE, amount DOUBLE)");
+  const char* segments[] = {"consumer", "smb", "enterprise", "public"};
+  const char* regions[] = {"north", "south", "east", "west", "coast"};
+  std::string customers = "INSERT INTO customers VALUES ";
+  for (int i = 0; i < 200; ++i) {
+    if (i > 0) customers += ",";
+    customers += "(" + std::to_string(i) + ",'" + segments[i % 4] +
+                 "','country_" + std::to_string(i % 20) + "')";
+  }
+  run(customers);
+  for (int chunk = 0; chunk < 4; ++chunk) {
+    std::string orders = "INSERT INTO orders VALUES ";
+    for (int i = 0; i < 1000; ++i) {
+      int id = chunk * 1000 + i;
+      int qty = 1 + (id * 7) % 50;
+      int price = 1 + (id * 13) % 500;
+      if (i > 0) orders += ",";
+      orders += "(" + std::to_string(id) + "," + std::to_string((id * 31) % 200) +
+                ",'" + regions[id % 5] + "'," + std::to_string(1 + id % 365) +
+                "," + std::to_string(qty) + "," + std::to_string(price) + ".0," +
+                std::to_string(qty * price) + ".0)";
+    }
+    run(orders);
+  }
+  for (const std::string& sql : {
+           std::string("SELECT count(*), sum(amount), avg(price) FROM orders "
+                       "WHERE day BETWEEN 40 AND 90 AND qty >= 12"),
+           std::string("SELECT region, count(*), sum(amount) FROM orders "
+                       "WHERE price > 120 GROUP BY region ORDER BY region"),
+           std::string("SELECT c.segment, count(*), sum(o.amount) FROM orders o "
+                       "JOIN customers c ON o.cust = c.cust_id WHERE o.day < 200 "
+                       "AND o.qty > 10 GROUP BY c.segment ORDER BY c.segment"),
+           std::string("SELECT cust, sum(amount) AS total FROM orders WHERE "
+                       "day > 30 AND price < 400 GROUP BY cust "
+                       "ORDER BY total DESC, cust LIMIT 10"),
+       }) {
+    ExecCache cache;
+    ExecOptions options;
+    options.cache = &cache;
+    uint64_t plans_before = VecPlans()->value();
+    uint64_t fallbacks_before = VecFallbacks()->value();
+    auto got = engine.ExecuteSql(sql, options);
+    AF_ASSERT_OK_RESULT(got);
+    EXPECT_EQ(cache.size(), 1u) << sql;
+    EXPECT_EQ(VecPlans()->value(), plans_before + 1) << sql;
+    EXPECT_EQ(VecFallbacks()->value(), fallbacks_before) << sql;
+    ExecOptions row;
+    row.vectorized = false;
+    auto expect = engine.ExecuteSql(sql, row);
+    AF_ASSERT_OK_RESULT(expect);
+    EXPECT_TRUE(ExactlyEqual(**expect, **got)) << sql;
+  }
 }
 
 TEST_F(ProbePathExecTest, TruncatedResultsAreNeverCached) {

@@ -2,7 +2,7 @@
 // batch-convertible plan, `options.vectorized = true` must produce a
 // ResultSet byte-identical to the row path — same values, same order, same
 // truncation metadata — at every thread count. Edge coverage (NULLs, empty
-// inputs, division by zero, NaN-free ordering quirks) rides on the same
+// inputs, division by zero, NaN sort keys, LIMIT windows) rides on the same
 // harness: whatever the row path answers is the specification.
 //
 // Working memory is the one place the paths differ internally: the
@@ -14,6 +14,7 @@
 // `max_bytes` always keeps its documented meaning — an output budget that
 // truncates, never a hard failure.
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,28 @@ class VectorizedParityTest : public ::testing::TestWithParam<size_t> {
     engine_ = std::make_unique<Engine>(&catalog_);
     BuildBigDb(engine_.get());
     BuildPeopleDb(engine_.get());
+    auto run = [&](const std::string& sql) {
+      auto r = engine_->ExecuteSql(sql);
+      ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+    };
+    run("CREATE TABLE nums (x BIGINT, d DOUBLE)");
+    run("INSERT INTO nums VALUES (9007199254740993, 1.5), "
+        "(9007199254740992, 1.5), (NULL, 0.5), (-3, NULL), "
+        "(9007199254740992, -2.0), (7, 1.5)");
+    // SQL has no NaN literal, so the NaN rows are appended directly.
+    auto fp = catalog_.CreateTable(
+        "fp", Schema({ColumnDef("id", DataType::kInt64),
+                      ColumnDef("d", DataType::kFloat64)}));
+    ASSERT_TRUE(fp.ok());
+    const double nan = std::nan("");
+    const std::vector<Value> ds = {
+        Value::Double(3.0), Value::Double(nan),   Value::Double(1.0),
+        Value::Null(),      Value::Double(2.0),   Value::Double(nan),
+        Value::Double(0.5), Value::Double(-1.0),  Value::Double(2.0),
+        Value::Null(),      Value::Double(nan),   Value::Double(-0.0)};
+    for (size_t i = 0; i < ds.size(); ++i) {
+      ASSERT_TRUE((*fp)->AppendRow({Value::Int(static_cast<int64_t>(i)), ds[i]}).ok());
+    }
   }
 
   /// Runs `sql` through the row path (serial: the specification) and the
@@ -123,11 +146,61 @@ TEST_P(VectorizedParityTest, Joins) {
   ExpectParity("SELECT big.id FROM big JOIN void ON big.id = void.x");
 }
 
-TEST_P(VectorizedParityTest, MixedRowAndVectorizedOperators) {
-  // ORDER BY / LIMIT / DISTINCT / LIKE stay on the row path; their children
-  // re-gate, so these plans cross the batch->row boundary mid-tree.
-  ExpectParity("SELECT id, v FROM big WHERE v > 500.0 ORDER BY v, id LIMIT 20");
+TEST_P(VectorizedParityTest, OrderBy) {
+  // Multi-key, mixed directions; every key has ties the next one breaks.
+  ExpectParity("SELECT id, name, v FROM big ORDER BY name DESC, v, id");
+  ExpectParity("SELECT id, v FROM big WHERE v > 500.0 ORDER BY v, id");
+  // NULL keys sort lowest: first ascending, last descending.
+  ExpectParity("SELECT id, n FROM big ORDER BY n, id");
+  ExpectParity("SELECT id, n FROM big ORDER BY n DESC, id DESC");
+  // Ties the keys leave keep their input order (a stable sort).
+  ExpectParity("SELECT id, n FROM big ORDER BY n");
+  ExpectParity("SELECT flag, id FROM big WHERE id < 300 ORDER BY flag DESC");
+  // BIGINT keys compare exactly (2^53 and 2^53 + 1 share a DOUBLE image);
+  // DOUBLE and computed keys by value.
+  ExpectParity("SELECT x, d FROM nums ORDER BY x DESC");
+  ExpectParity("SELECT x, d FROM nums ORDER BY d, x");
+  ExpectParity("SELECT id, v FROM big ORDER BY id % 13, v DESC, id");
+  ExpectParity("SELECT id FROM big WHERE id < 400 ORDER BY (id % 7) * 1.5, id");
+  // NaN compares equal to every value, so only the same stable sort over
+  // the same comparisons reproduces the row path's order.
+  ExpectParity("SELECT id FROM fp ORDER BY d");
+  ExpectParity("SELECT id FROM fp ORDER BY d DESC, id");
+  ExpectParity("SELECT id FROM fp ORDER BY d LIMIT 3");
+  ExpectParity("SELECT id FROM fp ORDER BY d DESC LIMIT 4 OFFSET 1");
+  // Sorts over aggregates and joins, the probe workloads' shapes.
+  ExpectParity("SELECT name, sum(v) AS s FROM big GROUP BY name ORDER BY s DESC");
   ExpectParity("SELECT name, count(*) FROM big GROUP BY name ORDER BY name");
+  ExpectParity("SELECT big.id, dim.label FROM big JOIN dim ON big.n = dim.k "
+               "WHERE big.id < 300 ORDER BY dim.label, big.id DESC");
+  ExpectParity("SELECT * FROM void ORDER BY y");
+}
+
+TEST_P(VectorizedParityTest, LimitAndOffset) {
+  ExpectParity("SELECT id FROM big LIMIT 0");
+  ExpectParity("SELECT id FROM big LIMIT 10");
+  ExpectParity("SELECT id, v FROM big LIMIT 1500 OFFSET 700");  // spans batches
+  ExpectParity("SELECT id FROM big LIMIT 10 OFFSET 4995");      // runs off the end
+  ExpectParity("SELECT id FROM big LIMIT 10 OFFSET 6000");      // starts past it
+  ExpectParity("SELECT id FROM big LIMIT 9000");
+  ExpectParity("SELECT id FROM big WHERE id % 7 = 3 LIMIT 50 OFFSET 100");
+  ExpectParity("SELECT count(*) FROM big LIMIT 1");
+  // LIMIT over ORDER BY keeps the stable sort's first rows, ties included,
+  // at any offset.
+  ExpectParity("SELECT id, n FROM big ORDER BY n LIMIT 25");
+  ExpectParity("SELECT id, v FROM big WHERE v > 500.0 ORDER BY v, id LIMIT 20");
+  ExpectParity("SELECT id, flag FROM big ORDER BY flag LIMIT 7 OFFSET 3");
+  ExpectParity("SELECT id, n FROM big ORDER BY n DESC LIMIT 0");
+  ExpectParity("SELECT id, n FROM big ORDER BY n DESC, name LIMIT 40 OFFSET 990");
+  ExpectParity("SELECT id FROM big ORDER BY v LIMIT 5000");
+  ExpectParity("SELECT id FROM big ORDER BY v DESC LIMIT 6000 OFFSET 4990");
+  ExpectParity("SELECT name, count(*) AS c, sum(v) AS total FROM big "
+               "GROUP BY name ORDER BY total DESC, name LIMIT 3");
+}
+
+TEST_P(VectorizedParityTest, MixedRowAndVectorizedOperators) {
+  // DISTINCT / LIKE stay on the row path; their children re-gate, so these
+  // plans cross the batch->row boundary mid-tree.
   ExpectParity("SELECT DISTINCT name FROM big WHERE id < 1000");
   ExpectParity("SELECT name FROM big WHERE name LIKE 'g%' AND id < 30");
   ExpectParity("SELECT count(DISTINCT name) FROM big");

@@ -143,17 +143,20 @@ else
 fi
 
 if [[ "$run_tests" == "1" ]]; then
-  echo "=== [7/10] vectorized parity (TSan) + bench smoke ==="
+  echo "=== [7/10] vectorized parity + memory store (TSan) + bench smoke ==="
   # Parity (row path == vec path, byte-identical) and determinism (same
   # answer at 1/2/4/8 threads) have to hold under TSan, or the batch
   # kernels' lock-free morsel claiming is wrong in a way plain runs can
-  # miss. Reuses the stage-5 TSan build tree.
+  # miss. memory_store_test adds the indexed store's linear-scan oracle and
+  # the probe optimizer's memory short-circuit under concurrent eviction.
+  # Reuses the stage-5 TSan build tree.
   cmake --build build-tsan -j "$(nproc)" \
         --target vectorized_exec_test parallel_determinism_test \
-        probe_path_test > /dev/null
+        probe_path_test memory_store_test > /dev/null
   ./build-tsan/tests/vectorized_exec_test
   ./build-tsan/tests/parallel_determinism_test
   ./build-tsan/tests/probe_path_test
+  ./build-tsan/tests/memory_store_test
   # Perf gate: the vectorized path must beat the row path on its own
   # workloads (scan+filter, hash join, aggregate), and a default-options
   # probe batch must run every executed query vectorized; --quick exits
