@@ -1,6 +1,6 @@
 // A fleet of simulated field agents working a MiniBird task suite through
 // the batch probe API: dry-run cost estimation, priority-aware admission
-// control, cross-agent sharing through the memory store, and the system's
+// control, cross-agent sharing through the answer cache, and the system's
 // accounting of how much speculative work it absorbed.
 //
 //   ./build/examples/agent_fleet
@@ -11,6 +11,7 @@
 #include "agents/sim_agent.h"
 #include "core/probe_builder.h"
 #include "core/system.h"
+#include "obs/metrics.h"
 #include "workload/minibird.h"
 
 using namespace agentfirst;
@@ -92,7 +93,6 @@ int main() {
               episodes);
 
   const ProbeOptimizer::Metrics& m = db->optimizer()->metrics();
-  SharingStats sharing = db->optimizer()->sharing_stats();
   std::printf("\nsystem accounting across the whole session:\n");
   std::printf("  probes handled:        %llu\n",
               static_cast<unsigned long long>(m.probes));
@@ -105,7 +105,9 @@ int main() {
   std::printf("  skipped (satisficing): %llu\n",
               static_cast<unsigned long long>(m.queries_skipped));
   std::printf("  sub-plan cache hits:   %llu\n",
-              static_cast<unsigned long long>(sharing.cache_hits));
+              static_cast<unsigned long long>(obs::MetricsRegistry::Default()
+                                                  .GetCounter("af.exec.cache.hits")
+                                                  ->value()));
   std::printf("  memory artifacts:      %zu\n", db->memory()->size());
   return 0;
 }

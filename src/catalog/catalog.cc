@@ -21,6 +21,12 @@ Result<TablePtr> Catalog::CreateTable(const std::string& name, Schema schema) {
   if (pool_ != nullptr) table->AttachBufferPool(pool_);
   tables_[name] = table;
   ++schema_version_;
+  // Answer-cache keys and memory artifacts pin (name, data_version), so a
+  // re-created name must not restart at a version its predecessor had. The
+  // high half is this DDL's schema version, which checkpoints and WAL
+  // replay restore, so the seed is the same after a reboot; the low half
+  // leaves each table 2^32 mutations.
+  table->RestoreDataVersion(schema_version_ << 32);
   if (listener_ != nullptr) {
     table->SetMutationListener(listener_);
     listener_->OnCreateTable(*table);

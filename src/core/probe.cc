@@ -41,7 +41,7 @@ std::string ProbeResponse::ToString(size_t max_rows_per_answer) const {
       out += "   error: " + a.status.ToString() + "\n";
       continue;
     }
-    if (a.from_memory) out += "   [served from agentic memory]\n";
+    if (a.from_memory) out += "   [reused an earlier answer]\n";
     if (a.approximate) {
       out += "   [approximate, sample rate " + std::to_string(a.sample_rate) + "]\n";
     }

@@ -132,7 +132,7 @@ struct QueryAnswer {
   std::vector<std::optional<double>> relative_ci95;
   double estimated_cost = 0.0;
   double estimated_rows = 0.0;
-  bool from_memory = false;    // served from the agentic memory store
+  bool from_memory = false;    // an earlier probe's exact answer, reused
   std::string plan_text;       // filled for dry-run probes
   /// True when execution stopped at the deadline or an output budget:
   /// `result` holds the partial rows merged so far and `status` carries

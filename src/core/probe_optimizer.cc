@@ -8,6 +8,7 @@
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/thread_pool.h"
+#include "core/admission.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/aqp.h"
@@ -27,12 +28,6 @@ ProbeOptimizer::Options NormalizeOptions(ProbeOptimizer::Options options) {
   if (options.batch_parallelism == 0) options.batch_parallelism = hw;
   if (options.intra_query_threads == 0) options.intra_query_threads = hw;
   return options;
-}
-
-ExecOptions BatchBaseOptions(size_t intra_query_threads) {
-  ExecOptions eo;
-  eo.num_threads = intra_query_threads;
-  return eo;
 }
 
 /// Seed of the retry backoff jitter.
@@ -97,7 +92,6 @@ ProbeOptimizer::ProbeOptimizer(Catalog* catalog, AgenticMemoryStore* memory,
       memory_(memory),
       search_(search),
       options_(NormalizeOptions(options)),
-      batch_(BatchBaseOptions(options_.intra_query_threads)),
       sleeper_(catalog, memory, search) {}
 
 namespace {
@@ -182,7 +176,6 @@ struct ProbeOptimizer::ProbeTask {
     double cost = 0.0;
     double rows = 0.0;
     double relevance = 1.0;
-    uint64_t fingerprint = 0;
     uint64_t core_fingerprint = 0;
   };
 
@@ -218,17 +211,8 @@ struct ProbeOptimizer::ProbeTask {
 
 Result<std::vector<ProbeResponse>> ProbeOptimizer::ProcessBatch(
     const std::vector<Probe>& probes) {
-  // Admission control: order by brief priority, then phase urgency.
-  auto phase_rank = [](ProbePhase p) {
-    switch (p) {
-      case ProbePhase::kValidation: return 0;
-      case ProbePhase::kSolutionFormulation: return 1;
-      case ProbePhase::kStatExploration: return 2;
-      case ProbePhase::kMetadataExploration: return 3;
-      case ProbePhase::kUnspecified: return 4;
-    }
-    return 5;
-  };
+  // Admission control: order by brief priority, then phase urgency in the
+  // server's admission order.
   std::vector<size_t> order(probes.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::vector<Brief> interpreted;
@@ -238,7 +222,8 @@ Result<std::vector<ProbeResponse>> ProbeOptimizer::ProcessBatch(
     if (interpreted[a].priority != interpreted[b].priority) {
       return interpreted[a].priority > interpreted[b].priority;
     }
-    return phase_rank(interpreted[a].phase) < phase_rank(interpreted[b].phase);
+    return PhaseAdmissionPriority(interpreted[a].phase) >
+           PhaseAdmissionPriority(interpreted[b].phase);
   });
 
   // Phase 1 (serial, admission order): parse/bind/cost + every admission,
@@ -374,7 +359,6 @@ void ProbeOptimizer::PrepareProbe(const Probe& probe, ProbeTask* task) {
     CostEstimate est = EstimatePlanCost(*p.plan, catalog_);
     p.cost = est.total_cost;
     p.rows = est.output_rows;
-    p.fingerprint = PlanFingerprint(*p.plan);
     p.core_fingerprint = CanonicalPlanFingerprint(*DataCoreOf(p.plan.get()));
     {
       MutexLock lock(state_mutex_);
@@ -458,9 +442,8 @@ void ProbeOptimizer::PrepareProbe(const Probe& probe, ProbeTask* task) {
     for (size_t i = 0; i < prepared.size(); ++i) {
       if (!run[i] || prepared[i].plan == nullptr) continue;
       auto it = answered.find(prepared[i].core_fingerprint);
-      // Identical full queries fall through to the memory short-circuit,
-      // which can return the actual cached rows; only *variants* are
-      // dropped here.
+      // Identical full queries fall through to answer reuse, which can
+      // return the actual cached rows; only *variants* are dropped here.
       if (it != answered.end() && it->second != prepared[i].sql) {
         run[i] = false;
         covered_by_turn[i] = it->second;
@@ -576,11 +559,11 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
   // needs no synchronization even when probes run batch-parallel.
   obs::TraceSpan* root = options_.enable_tracing ? &task->trace : nullptr;
 
-  // 4. Execute (memory short-circuit first, then shared batch execution).
-  // This phase may run concurrently with other probes' Execute phases:
-  // everything task-local is lock-free, every touch of shared optimizer
-  // state (metrics, memory store, answered-cores map) takes state_mutex_,
-  // and the mutex is never held across plan execution.
+  // 4. Execute (answer reuse first, then execution through the shared
+  // cache). This phase may run concurrently with other probes' Execute
+  // phases: everything task-local is lock-free, every touch of shared
+  // optimizer state (metrics, memory store, answered-cores map) takes
+  // state_mutex_, and the mutex is never held across plan execution.
   size_t rows_produced_total = 0;
   bool termination_fired = false;
   response.answers.resize(prepared.size());
@@ -621,8 +604,8 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
     obs::TraceSpan* qspan =
         root != nullptr ? root->AddChild("query[" + std::to_string(i) + "]")
                         : nullptr;
-    // Covers the whole iteration, so memory-store lookups, puts and lock
-    // waits land in this span's self time.
+    // Covers the whole iteration, so answer lookups, memory-store puts and
+    // lock waits land in this span's self time.
     obs::SpanTimer qtimer(qspan);
     if (qspan != nullptr) {
       obs::TraceSpan* plan_span = qspan->AddChild("plan");
@@ -689,27 +672,16 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
       continue;
     }
 
-    // Memory short-circuit: identical plan answered before (and not stale;
-    // the fingerprint embeds table data versions, so version changes miss).
-    // An approximate cached answer satisfies any brief except one demanding
-    // exactness.
-    if (options_.enable_memory && memory_ != nullptr) {
-      std::string key = "probe_result:" + std::to_string(prepared[i].fingerprint);
-      // The hit's artifact belongs to the store: another task's Put may
-      // supersede or evict it once the lock is released, so take the
-      // answer while it is held.
-      ResultSetPtr cached;
-      {
-        MutexLock lock(state_mutex_);
-        std::optional<MemoryHit> hit = memory_->GetExact(key, probe.agent_id);
-        if (hit.has_value() && !hit->stale) cached = hit->artifact->result;
-      }
-      if (cached != nullptr && (!cached->approximate || !wants_exact)) {
+    // Answer reuse: the shared cache's root entry for this plan holds an
+    // earlier exact answer. The key embeds the tables' data versions and is
+    // taken now, so a write since Prepare misses. An exact answer serves
+    // every brief; truncated answers are never cached.
+    const uint64_t root_key = PlanFingerprint(*prepared[i].plan);
+    if (options_.enable_mqo && options_.enable_memory) {
+      if (ResultSetPtr cached = cache_.Get(root_key); cached != nullptr) {
         answer.status = Status::OK();
         answer.result = std::move(cached);
         answer.from_memory = true;
-        answer.approximate = answer.result->approximate;
-        answer.sample_rate = answer.result->sample_rate;
         rows_produced_total += answer.result->rows.size();
         if (qspan != nullptr) {
           qspan->AddNote("from_memory", "true");
@@ -741,7 +713,7 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
     }
 
     ExecOptions exec_options;
-    exec_options.cache = options_.enable_mqo ? batch_.cache() : nullptr;
+    exec_options.cache = options_.enable_mqo ? &cache_ : nullptr;
     exec_options.num_threads = options_.intra_query_threads;
     // A probe that arrived with its own token (a network session's
     // disconnect source) is governed by that token; everything else follows
@@ -771,12 +743,7 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
         answer.relative_ci95 = approx->relative_ci95;
         return approx->result;
       }
-      // With MQO off, probes must be pure functions of their content:
-      // bypass BatchExecutor entirely (it installs the shared sub-plan
-      // cache unconditionally, which would leak state across probes).
-      if (!options_.enable_mqo) return ExecutePlan(*prepared[i].plan, eo);
-      auto results = batch_.ExecuteBatch({prepared[i].plan}, eo);
-      return results[0];
+      return ExecutePlan(*prepared[i].plan, eo);
     };
 
     // Transient-fault retry with seeded jittered exponential backoff.
@@ -894,15 +861,14 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
       }
     }
 
-    // Record the answer as a memory artifact for future probes (approximate
-    // answers are stored too, flagged by their result's sample_rate; partial
-    // truncated answers are never stored — they would poison later probes).
+    // Record the answered query as a memory artifact: steering points later
+    // probes at it, and its rows stay in the shared cache. A truncated answer
+    // is not recorded, since a re-ask must run to completion.
     if (options_.enable_memory && memory_ != nullptr && !answer.truncated) {
       MemoryArtifact artifact;
       artifact.kind = ArtifactKind::kProbeResult;
-      artifact.key = "probe_result:" + std::to_string(prepared[i].fingerprint);
+      artifact.key = "probe_result:" + std::to_string(root_key);
       artifact.content = prepared[i].sql;
-      artifact.result = answer.result;
       artifact.table_deps = ReferencedTables(*prepared[i].plan);
       artifact.owner = probe.agent_id;
       MutexLock lock(state_mutex_);

@@ -16,25 +16,30 @@
 #include "core/probe.h"
 #include "core/semantic_search.h"
 #include "core/steering.h"
+#include "exec/executor.h"
 #include "memory/memory_store.h"
-#include "opt/mqo.h"
 
 namespace agentfirst {
 
 /// The satisficing probe optimizer (paper Sec. 5): decides *what* to execute
 /// (admission control by phase, semantic pruning against the goal, k-of-n
-/// satisficing, memory-store short-circuiting) and *how* (approximation
+/// satisficing, reuse of earlier exact answers) and *how* (approximation
 /// level chosen from phase/accuracy, multi-query shared execution), then
 /// invokes the sleeper agent for steering feedback.
 class ProbeOptimizer {
  public:
   struct Options {
-    bool enable_mqo = true;          // shared sub-plan cache across probes
+    /// Execute through the optimizer's shared sub-plan cache (`ExecCache`),
+    /// the only place answers are reused across probes.
+    bool enable_mqo = true;
     /// Sampling for exploratory phases. Also lets an exploratory probe whose
     /// exact answer came back truncated by the deadline retry once through
     /// sampling (validation-phase probes are never degraded).
     bool enable_aqp = true;
-    bool enable_memory = true;       // read/write the agentic memory store
+    /// Serve a repeated query's exact answer from the shared cache's root
+    /// entry (reported `from_memory`; needs `enable_mqo`), and record each
+    /// executed query as an artifact in the agentic memory store.
+    bool enable_memory = true;
     bool enable_steering = true;     // sleeper-agent hints
     /// During exploration, prune queries whose goal relevance falls below
     /// a fixed threshold (only when the brief carries goal text).
@@ -56,7 +61,7 @@ class ProbeOptimizer {
     /// Invest heuristic (paper Sec. 5.2.2): once the same underlying
     /// relation has been asked about this many times, answer exactly even
     /// when the brief would allow approximation -- the exact result enters
-    /// the memory store and pays itself back across future turns.
+    /// the shared cache and pays itself back across future turns.
     /// 0 disables.
     size_t invest_threshold = 3;
     /// Adaptive indexing (paper Sec. 6: static tuning fails on dynamic
@@ -69,9 +74,9 @@ class ProbeOptimizer {
     /// steering, and advisor decisions stay serial in admission order.
     /// 1 = fully serial (identical to processing probes one by one, the
     /// default); 0 = hardware concurrency; N = at most N probes in flight.
-    /// Note: with parallelism, probes in one batch no longer observe memory
-    /// artifacts written by other probes of the *same* batch
-    /// deterministically — the shared sub-plan cache still dedupes the work.
+    /// Note: with parallelism, which of two probes in one batch that ask the
+    /// same query executes it and which reuses its answer is not
+    /// deterministic.
     size_t batch_parallelism = 1;
     /// Intra-query morsel parallelism for executed probe queries
     /// (ExecOptions::num_threads); draws from the same pool.
@@ -134,8 +139,8 @@ class ProbeOptimizer {
 
   /// Answers a batch of concurrently submitted probes (paper Sec. 5.2.1):
   /// admission control orders them by brief priority, then by phase
-  /// (validation > formulation > statistics > metadata), and the shared
-  /// sub-plan cache plus the memory store absorb cross-probe redundancy.
+  /// (PhaseAdmissionPriority, the server's admission order), and the shared
+  /// sub-plan cache absorbs cross-probe redundancy.
   /// Responses are returned in the submission order.
   Result<std::vector<ProbeResponse>> ProcessBatch(const std::vector<Probe>& probes);
 
@@ -145,8 +150,7 @@ class ProbeOptimizer {
     MutexLock lock(state_mutex_);
     return metrics_;
   }
-  SharingStats sharing_stats() const { return batch_.stats(); }
-  void InvalidateCaches() { batch_.InvalidateCache(); }
+  void InvalidateCaches() { cache_.Clear(); }
 
   /// Installs the cooperative cancellation token consulted by every probe
   /// execution (the system facade points this at its CancelAllProbes
@@ -194,7 +198,9 @@ class ProbeOptimizer {
   /// Never held across plan execution.
   mutable Mutex state_mutex_;
   BriefInterpreter interpreter_;
-  BatchExecutor batch_;
+  /// Shared sub-plan cache of every executed query (with MQO on); its root
+  /// entries are the only reused answers. Internally synchronized.
+  ExecCache cache_;
   SleeperAgent sleeper_;
   Metrics metrics_ AF_GUARDED_BY(state_mutex_);
   // Per-agent recently touched tables (batching suggestions).

@@ -1,54 +1,8 @@
 #include "memory/memory_store.h"
 
 #include <algorithm>
-#include <fstream>
-
-#include "common/str_util.h"
 
 namespace agentfirst {
-
-namespace {
-
-std::string EscapeField(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\t': out += "\\t"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string UnescapeField(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      char n = s[++i];
-      if (n == 't') out += '\t';
-      else if (n == 'n') out += '\n';
-      else out += n;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
-std::optional<ArtifactKind> KindFromName(const std::string& name) {
-  for (ArtifactKind k : {ArtifactKind::kProbeResult, ArtifactKind::kColumnEncoding,
-                         ArtifactKind::kSchemaNote, ArtifactKind::kStatSummary,
-                         ArtifactKind::kGroundingNote}) {
-    if (name == ArtifactKindName(k)) return k;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 const char* ArtifactKindName(ArtifactKind k) {
   switch (k) {
@@ -194,52 +148,6 @@ size_t AgenticMemoryStore::SweepStale() {
     }
   }
   return removed;
-}
-
-Status AgenticMemoryStore::SaveToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.good()) return Status::Internal("cannot open for writing: " + path);
-  for (const auto& artifact : artifacts_) {
-    if (artifact->kind == ArtifactKind::kProbeResult) continue;  // re-derivable
-    out << ArtifactKindName(artifact->kind) << '\t' << EscapeField(artifact->key)
-        << '\t' << EscapeField(artifact->owner) << '\t'
-        << EscapeField(Join(artifact->table_deps, ",")) << '\t'
-        << EscapeField(artifact->content) << '\n';
-  }
-  out.flush();
-  if (!out.good()) return Status::Internal("write failed: " + path);
-  return Status::OK();
-}
-
-Result<size_t> AgenticMemoryStore::LoadFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) return Status::NotFound("cannot open: " + path);
-  size_t loaded = 0;
-  std::string line;
-  size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    std::vector<std::string> fields = Split(line, '\t');
-    if (fields.size() != 5) {
-      return Status::InvalidArgument("malformed memory artifact at line " +
-                                     std::to_string(line_number));
-    }
-    auto kind = KindFromName(fields[0]);
-    if (!kind.has_value()) {
-      return Status::InvalidArgument("unknown artifact kind at line " +
-                                     std::to_string(line_number));
-    }
-    MemoryArtifact artifact;
-    artifact.kind = *kind;
-    artifact.key = UnescapeField(fields[1]);
-    artifact.owner = UnescapeField(fields[2]);
-    artifact.table_deps = Split(UnescapeField(fields[3]), ',', /*skip_empty=*/true);
-    artifact.content = UnescapeField(fields[4]);
-    Put(std::move(artifact));
-    ++loaded;
-  }
-  return loaded;
 }
 
 void AgenticMemoryStore::EvictIfNeeded() {

@@ -12,19 +12,16 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "common/result.h"
-// aflint:allow(layer-back-edge) the memory store caches agent-visible
-// artifacts by design (paper Sec. 5): Embeddings for semantic recall ...
+// aflint:allow(layer-back-edge) the memory store recalls agent-visible
+// artifacts by embedding (paper Sec. 5); Embedding is a leaf value type and
+// embed/ never includes memory/.
 #include "embed/embedding.h"
-// aflint:allow(layer-back-edge) ... and whole ResultSets for answer reuse.
-// Both are leaf value types; neither embed/ nor exec/ includes memory/.
-#include "exec/result_set.h"
 
 namespace agentfirst {
 
 /// What a memory artifact records (paper Sec. 6.1 "Artifacts").
 enum class ArtifactKind {
-  kProbeResult,     // cached answer of a prior probe
+  kProbeResult,     // a prior probe's query; its answer lives in the ExecCache
   kColumnEncoding,  // e.g. "state is spelled out, not two-letter codes"
   kSchemaNote,      // which tables/columns matter for what
   kStatSummary,     // value ranges, distinct counts, partitions' coverage
@@ -40,7 +37,6 @@ struct MemoryArtifact {
   ArtifactKind kind = ArtifactKind::kGroundingNote;
   std::string key;       // structured key, e.g. "table:sales/col:state"
   std::string content;   // natural-language grounding text
-  ResultSetPtr result;   // optional cached result rows
   std::vector<std::string> table_deps;
   uint64_t schema_version = 0;
   std::map<std::string, uint64_t> table_versions;
@@ -88,7 +84,9 @@ class AgenticMemoryStore {
     size_t capacity = 4096;
     StalenessPolicy staleness = StalenessPolicy::kEager;
     /// When false, artifacts are only visible to their owner (privacy mode,
-    /// paper's multi-user concern); when true, all principals share.
+    /// paper's multi-user concern); when true, all principals share. Query
+    /// answers are not artifacts: the probe optimizer reuses them across
+    /// principals either way.
     bool share_across_principals = true;
   };
 
@@ -122,16 +120,6 @@ class AgenticMemoryStore {
   /// Drops every artifact that is stale with respect to the catalog now.
   /// Returns the number removed.
   size_t SweepStale();
-
-  /// Persists grounding artifacts to a file (tab-separated, one artifact per
-  /// line). Cached result rows are NOT persisted: they are re-derivable and
-  /// version-pinned; the durable value is the grounding text.
-  Status SaveToFile(const std::string& path) const;
-
-  /// Loads artifacts from `path` into the store (same-key artifacts are
-  /// superseded). Loaded artifacts are version-stamped against the *current*
-  /// catalog. Returns the number loaded.
-  Result<size_t> LoadFromFile(const std::string& path);
 
   size_t size() const { return artifacts_.size(); }
   const Stats& stats() const { return stats_; }

@@ -114,8 +114,9 @@ class Table {
     listener_ = listener;
   }
 
-  /// Recovery-only: restores the mutation counter after a checkpoint load so
-  /// version-pinned artifacts (memory store, stats cache) keep matching.
+  /// Sets the mutation counter: recovery restores it after a checkpoint load
+  /// so version-pinned artifacts (memory store, stats cache) keep matching,
+  /// and Catalog::CreateTable seeds it for a new table.
   void RestoreDataVersion(uint64_t v) { data_version_ = v; }
 
   /// Builds a table directly from segments (used by branch materialization).

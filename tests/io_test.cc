@@ -1,5 +1,4 @@
-// Tests for CSV import/export, memory-store persistence, branch diffs, and
-// probe dry runs.
+// Tests for CSV import/export, branch diffs, and probe dry runs.
 
 #include <cstdio>
 #include <fstream>
@@ -190,69 +189,6 @@ TEST_F(CsvTest, UnterminatedQuoteInHeaderNamesLineOne) {
   EXPECT_NE(r.status().message().find("line 1"), std::string::npos)
       << r.status().message();
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Memory store persistence
-// ---------------------------------------------------------------------------
-
-TEST(MemoryPersistenceTest, SaveLoadRoundTrip) {
-  Catalog catalog;
-  (void)catalog.CreateTable("sales", Schema({ColumnDef("x", DataType::kInt64)}));
-  AgenticMemoryStore store(&catalog, {});
-
-  MemoryArtifact note;
-  note.kind = ArtifactKind::kColumnEncoding;
-  note.key = "encoding:sales.state";
-  note.content = "values look like 'California'\nwith a newline and\ttab";
-  note.table_deps = {"sales"};
-  note.owner = "agent1";
-  store.Put(std::move(note));
-
-  MemoryArtifact result;  // probe results are not persisted
-  result.kind = ArtifactKind::kProbeResult;
-  result.key = "probe_result:123";
-  store.Put(std::move(result));
-
-  std::string path = TempPath("memory.tsv");
-  ASSERT_TRUE(store.SaveToFile(path).ok());
-
-  AgenticMemoryStore restored(&catalog, {});
-  auto loaded = restored.LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(*loaded, 1u);  // only the grounding note
-  auto hit = restored.GetExact("encoding:sales.state", "agent1");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->artifact->content,
-            "values look like 'California'\nwith a newline and\ttab");
-  EXPECT_EQ(hit->artifact->table_deps, std::vector<std::string>{"sales"});
-  std::remove(path.c_str());
-}
-
-TEST(MemoryPersistenceTest, LoadedArtifactsSearchable) {
-  Catalog catalog;
-  AgenticMemoryStore store(&catalog, {});
-  MemoryArtifact a;
-  a.kind = ArtifactKind::kSchemaNote;
-  a.key = "note:coffee";
-  a.content = "coffee revenue lives in the sales table";
-  store.Put(std::move(a));
-  std::string path = TempPath("memory2.tsv");
-  ASSERT_TRUE(store.SaveToFile(path).ok());
-
-  AgenticMemoryStore restored(&catalog, {});
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
-  auto hits = restored.Search("coffee revenue", 1);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].artifact->key, "note:coffee");
-  std::remove(path.c_str());
-}
-
-TEST(MemoryPersistenceTest, MissingFileIsNotFound) {
-  Catalog catalog;
-  AgenticMemoryStore store(&catalog, {});
-  EXPECT_EQ(store.LoadFromFile("/nonexistent/nowhere.tsv").status().code(),
-            StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------

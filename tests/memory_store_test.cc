@@ -536,6 +536,36 @@ TEST(MemoryShortCircuitTest, HitsSurviveConcurrentEviction) {
   EXPECT_GT(from_memory, 0u);
 }
 
+// Answers are reused through the shared cache alone: a repeated query whose
+// artifact the store has evicted still comes back reused, and the reuse
+// records nothing in the store.
+TEST(MemoryShortCircuitTest, EvictedArtifactStillReusesTheAnswer) {
+  AgentFirstSystem::Options options;
+  options.memory.capacity = 1;
+  AgentFirstSystem system(options);
+  ASSERT_TRUE(system.ExecuteSql("CREATE TABLE t (x BIGINT)").ok());
+  ASSERT_TRUE(system.ExecuteSql("INSERT INTO t VALUES (1), (2), (3), (4)").ok());
+  auto ask = [&](const std::string& sql) {
+    auto response = system.HandleProbe(ProbeBuilder("agent")
+                                           .Query(sql)
+                                           .Brief("verify the final numbers exactly")
+                                           .Build());
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return response.ok() ? response->answers[0] : QueryAnswer();
+  };
+  EXPECT_FALSE(ask("SELECT sum(x) FROM t").from_memory);
+  // This query's artifact evicts the first one's.
+  EXPECT_FALSE(ask("SELECT count(*) FROM t").from_memory);
+  ASSERT_EQ(system.memory()->size(), 1u);
+  const uint64_t puts = system.memory()->stats().puts;
+  QueryAnswer again = ask("SELECT sum(x) FROM t");
+  ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+  EXPECT_TRUE(again.from_memory);
+  ASSERT_NE(again.result, nullptr);
+  EXPECT_EQ(again.result->rows[0][0].int_value(), 10);
+  EXPECT_EQ(system.memory()->stats().puts, puts);
+}
+
 TEST_F(MemoryStoreTest, ArtifactKindNames) {
   EXPECT_STREQ(ArtifactKindName(ArtifactKind::kProbeResult), "probe_result");
   EXPECT_STREQ(ArtifactKindName(ArtifactKind::kColumnEncoding), "column_encoding");

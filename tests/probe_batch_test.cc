@@ -69,6 +69,23 @@ TEST_F(ProbeBatchTest, PhaseRankBreaksTies) {
   EXPECT_FALSE((*responses)[1].answers[0].from_memory);
 }
 
+TEST_F(ProbeBatchTest, UnspecifiedPhaseOutranksExploration) {
+  // The batch orders phases as server admission does: a probe of unknown
+  // intent runs before statistics exploration, so the explorer reuses its
+  // answer.
+  Probe explore;
+  explore.agent_id = "e";
+  explore.queries = {"SELECT count(*) FROM orders"};
+  explore.brief.phase = ProbePhase::kStatExploration;
+  Probe unspecified;
+  unspecified.agent_id = "u";
+  unspecified.queries = {"SELECT count(*) FROM orders"};
+  auto responses = system_->HandleProbeBatch({explore, unspecified});
+  ASSERT_TRUE(responses.ok());
+  EXPECT_TRUE((*responses)[0].answers[0].from_memory);
+  EXPECT_FALSE((*responses)[1].answers[0].from_memory);
+}
+
 TEST_F(ProbeBatchTest, CrossProbeSharingViaMemory) {
   std::vector<Probe> probes;
   for (int i = 0; i < 8; ++i) {

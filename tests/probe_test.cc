@@ -137,6 +137,27 @@ TEST_F(ProbeTest, MemoryInvalidatedByWrites) {
             first.answers[0].result->rows[0][0].int_value() + 1);
 }
 
+// A re-created table must not restart at a data version its predecessor
+// had: the answer cache keys on (name, version) and would serve the dropped
+// table's answer.
+TEST_F(ProbeTest, RecreatedTableMissesTheAnswerCache) {
+  ASSERT_TRUE(system_->ExecuteSql("CREATE TABLE t (x BIGINT)").ok());
+  ASSERT_TRUE(system_->ExecuteSql("INSERT INTO t VALUES (1)").ok());
+  Probe probe;
+  probe.queries = {"SELECT sum(x) FROM t"};
+  probe.brief.text = "verify exactly";
+  ProbeResponse first = Handle(probe);
+  ASSERT_TRUE(first.answers[0].status.ok());
+  EXPECT_EQ(first.answers[0].result->rows[0][0].int_value(), 1);
+  ASSERT_TRUE(system_->ExecuteSql("DROP TABLE t").ok());
+  ASSERT_TRUE(system_->ExecuteSql("CREATE TABLE t (x BIGINT)").ok());
+  ASSERT_TRUE(system_->ExecuteSql("INSERT INTO t VALUES (1000)").ok());
+  ProbeResponse second = Handle(probe);
+  ASSERT_TRUE(second.answers[0].status.ok());
+  EXPECT_FALSE(second.answers[0].from_memory);
+  EXPECT_EQ(second.answers[0].result->rows[0][0].int_value(), 1000);
+}
+
 TEST_F(ProbeTest, KofNSatisficingSkipsQueries) {
   Probe probe;
   probe.queries = {"SELECT count(*) FROM people WHERE city = 'berkeley'",

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -495,6 +496,52 @@ TEST(WalRecovery, AutoCheckpointByBytesThreshold) {
   ropts.data_dir = dir;
   ASSERT_TRUE(recovered.EnableDurability(ropts).ok());
   EXPECT_EQ(Canonical(&recovered), digest);
+}
+
+// An artifact pins (table, data_version). A re-created table must not
+// restart at a version its dropped predecessor had, or the artifact reads as
+// fresh; the version seed has to hold across reboots on the same data dir.
+TEST(WalRecovery, ArtifactPinnedToDroppedTableStaysStale) {
+  std::string dir = TempDir("recreated_table");
+  AgentFirstSystem::Options system_options;
+  // Lazy staleness flags a stale hit instead of dropping it, so one artifact
+  // can be checked before and after each reboot.
+  system_options.memory.staleness = AgenticMemoryStore::StalenessPolicy::kLazy;
+  DurabilityOptions options;
+  options.data_dir = dir;
+  auto stale = [](AgentFirstSystem* sys) {
+    std::optional<MemoryHit> hit = sys->memory()->GetExact("stats:t");
+    EXPECT_TRUE(hit.has_value());
+    return hit.has_value() && hit->stale;
+  };
+  {
+    AgentFirstSystem sys(system_options);
+    ASSERT_TRUE(sys.EnableDurability(options).ok());
+    ASSERT_TRUE(sys.ExecuteSql("CREATE TABLE t (x BIGINT)").ok());
+    ASSERT_TRUE(sys.ExecuteSql("INSERT INTO t VALUES (1)").ok());
+    MemoryArtifact note;
+    note.kind = ArtifactKind::kStatSummary;
+    note.key = "stats:t";
+    note.content = "t holds one row, x = 1";
+    note.table_deps = {"t"};
+    sys.memory()->Put(std::move(note));
+    EXPECT_FALSE(stale(&sys));
+    ASSERT_TRUE(sys.ExecuteSql("DROP TABLE t").ok());
+    // The next incarnation seeds its version from the checkpoint.
+    ASSERT_TRUE(sys.CheckpointNow().ok());
+    ASSERT_TRUE(sys.CloseDurability().ok());
+  }
+  {
+    AgentFirstSystem sys(system_options);
+    ASSERT_TRUE(sys.EnableDurability(options).ok());
+    ASSERT_TRUE(sys.ExecuteSql("CREATE TABLE t (x BIGINT)").ok());
+    ASSERT_TRUE(sys.ExecuteSql("INSERT INTO t VALUES (1000)").ok());
+    EXPECT_TRUE(stale(&sys));
+    ASSERT_TRUE(sys.CloseDurability().ok());
+  }
+  AgentFirstSystem recovered(system_options);
+  ASSERT_TRUE(recovered.EnableDurability(options).ok());
+  EXPECT_TRUE(stale(&recovered));
 }
 
 TEST(WalRecovery, TornTailIsTruncatedAndRecoveryIsIdempotent) {

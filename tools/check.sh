@@ -19,12 +19,14 @@
 #                       drives it with afprobe, then runs net_test,
 #                       fuzz_wire_test and catalog_test (concurrent
 #                       sessions' stats lookups) under the same TSan build
-#   7. vectorized     — row/vec parity, thread-count determinism and the
+#   7. vectorized     — row/vec parity, thread-count determinism, the
 #                       probe-path suite (cache, trace, sampling on the
-#                       vectorized engine) under the same TSan build, then
-#                       the bench smoke (bench_parallel_exec --quick), which
-#                       fails if the vectorized path is ever slower than the
-#                       row path or if a probe batch falls back to rows
+#                       vectorized engine), the memory store and the probe
+#                       batches of fault_tolerance_test under the same TSan
+#                       build, then the bench smoke (bench_parallel_exec
+#                       --quick), which fails if the vectorized path is ever
+#                       slower than the row path or if a probe batch falls
+#                       back to rows
 #   8. durability     — the WAL kill-and-recover torture (wal_test) under
 #                       AddressSanitizer via tools/run_sanitized.sh: every
 #                       injected crash site must recover to a committed
@@ -148,15 +150,17 @@ if [[ "$run_tests" == "1" ]]; then
   # answer at 1/2/4/8 threads) have to hold under TSan, or the batch
   # kernels' lock-free morsel claiming is wrong in a way plain runs can
   # miss. memory_store_test adds the indexed store's linear-scan oracle and
-  # the probe optimizer's memory short-circuit under concurrent eviction.
-  # Reuses the stage-5 TSan build tree.
+  # answer reuse under concurrent eviction; fault_tolerance_test's batches
+  # at 1/2/4/8 threads reach answer reuse from concurrent probes.
+  # Reuses the stage-6 TSan build tree.
   cmake --build build-tsan -j "$(nproc)" \
         --target vectorized_exec_test parallel_determinism_test \
-        probe_path_test memory_store_test > /dev/null
+        probe_path_test memory_store_test fault_tolerance_test > /dev/null
   ./build-tsan/tests/vectorized_exec_test
   ./build-tsan/tests/parallel_determinism_test
   ./build-tsan/tests/probe_path_test
   ./build-tsan/tests/memory_store_test
+  ./build-tsan/tests/fault_tolerance_test
   # Perf gate: the vectorized path must beat the row path on its own
   # workloads (scan+filter, hash join, aggregate), and a default-options
   # probe batch must run every executed query vectorized; --quick exits
