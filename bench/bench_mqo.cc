@@ -1,13 +1,13 @@
 // Sec. 5.2 ablation: multi-query (shared sub-plan) execution of a redundant
 // probe batch vs. executing every query independently. The redundancy comes
 // from 50 parallel attempts per task (the Figure 2 workload), so this bench
-// quantifies how much of that measured redundancy the BatchExecutor turns
-// into saved work.
+// quantifies how much of that measured redundancy one shared ExecCache, the
+// way the probe optimizer runs its queries, turns into saved work.
 
 #include <benchmark/benchmark.h>
 
 #include "agents/attempts.h"
-#include "opt/mqo.h"
+#include "exec/executor.h"
 #include "opt/rules.h"
 #include "plan/binder.h"
 #include "sql/parser.h"
@@ -41,7 +41,7 @@ Workload* BuildWorkload() {
     w->plans.push_back(OptimizePlan(*plan));
   }
   // Low-redundancy batch: 50 queries over disjoint predicates; nothing to
-  // share, so this isolates raw parallel throughput.
+  // share, so this isolates the cache's own overhead.
   for (int i = 0; i < 50; ++i) {
     std::string sql = "SELECT count(*), sum(revenue) FROM sales WHERE month = " +
                       std::to_string(1 + i % 12) + " AND quantity > " +
@@ -71,73 +71,48 @@ void BM_IndependentExecution(benchmark::State& state) {
 }
 BENCHMARK(BM_IndependentExecution)->Unit(benchmark::kMillisecond);
 
+/// Executes `plans` in order through `cache`, so identical sub-plans across
+/// the batch (and across calls with the same cache) run once.
+void RunThroughCache(const std::vector<PlanPtr>& plans, ExecCache* cache) {
+  ExecOptions options;
+  options.cache = cache;
+  for (const PlanPtr& plan : plans) {
+    auto r = ExecutePlan(*plan, options);
+    benchmark::DoNotOptimize(r);
+  }
+}
+
 void BM_SharedBatchExecution(benchmark::State& state) {
   Workload* w = GetWorkload();
   for (auto _ : state) {
-    BatchExecutor batch;  // fresh cache each iteration: fair comparison
-    auto results = batch.ExecuteBatch(w->plans);
-    benchmark::DoNotOptimize(results);
+    ExecCache cache;  // fresh cache each iteration: fair comparison
+    RunThroughCache(w->plans, &cache);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(w->plans.size()));
 }
 BENCHMARK(BM_SharedBatchExecution)->Unit(benchmark::kMillisecond);
 
-void BM_SharedBatchParallel(benchmark::State& state) {
-  Workload* w = GetWorkload();
-  size_t threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    BatchExecutor batch;
-    auto results = batch.ExecuteBatchParallel(w->plans, threads);
-    benchmark::DoNotOptimize(results);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(w->plans.size()));
-}
-BENCHMARK(BM_SharedBatchParallel)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// Low-redundancy batches: with nothing to share, parallelism carries the
-// load (the redundant batch above is the opposite regime -- there, serial
-// shared execution wins because one result feeds all 50 probes).
-// NOTE: on a single-CPU host the parallel variants cannot beat serial wall
-// time; they then serve as thread-safety/overhead checks. On multi-core
-// hardware BM_DistinctBatchParallel scales near-linearly.
+// Low-redundancy batch: with nothing to share, this is the cache's cost
+// (the redundant batch above is the opposite regime, where one computation
+// feeds all 50 probes).
 void BM_DistinctBatchSerial(benchmark::State& state) {
   Workload* w = GetWorkload();
   for (auto _ : state) {
-    BatchExecutor batch;
-    auto results = batch.ExecuteBatch(w->distinct_plans);
-    benchmark::DoNotOptimize(results);
+    ExecCache cache;
+    RunThroughCache(w->distinct_plans, &cache);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(w->distinct_plans.size()));
 }
 BENCHMARK(BM_DistinctBatchSerial)->Unit(benchmark::kMillisecond);
 
-void BM_DistinctBatchParallel(benchmark::State& state) {
-  Workload* w = GetWorkload();
-  size_t threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    BatchExecutor batch;
-    auto results = batch.ExecuteBatchParallel(w->distinct_plans, threads);
-    benchmark::DoNotOptimize(results);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(w->distinct_plans.size()));
-}
-BENCHMARK(BM_DistinctBatchParallel)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_SharedBatchWarmCache(benchmark::State& state) {
   Workload* w = GetWorkload();
-  BatchExecutor batch;
-  (void)batch.ExecuteBatch(w->plans);  // warm
+  ExecCache cache;
+  RunThroughCache(w->plans, &cache);  // warm
   for (auto _ : state) {
-    auto results = batch.ExecuteBatch(w->plans);
-    benchmark::DoNotOptimize(results);
+    RunThroughCache(w->plans, &cache);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(w->plans.size()));
@@ -150,16 +125,14 @@ BENCHMARK(BM_SharedBatchWarmCache)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  // Report the sharing statistics once, outside timing.
+  // Report the cold batch's cache traffic once, outside timing.
   using namespace agentfirst;
   auto* w = GetWorkload();
-  BatchExecutor batch;
-  (void)batch.ExecuteBatch(w->plans);
-  SharingStats stats = batch.stats();
-  std::printf("\nsharing stats over the 50-attempt batch: %zu operators, %zu "
-              "distinct (%.1f%% sharable), %llu cache hits\n",
-              stats.total_operators, stats.distinct_operators,
-              stats.SharingRatio() * 100.0,
-              static_cast<unsigned long long>(stats.cache_hits));
+  ExecCache cache;
+  RunThroughCache(w->plans, &cache);
+  std::printf("\ncold 50-attempt batch through one cache: %llu hits, %llu "
+              "misses, %zu cached results\n",
+              static_cast<unsigned long long>(cache.hits()),
+              static_cast<unsigned long long>(cache.misses()), cache.size());
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "catalog/info_schema.h"
 
+#include "common/hash.h"
+
 namespace agentfirst {
 
 bool IsInfoSchemaTable(const std::string& name) {
@@ -7,7 +9,23 @@ bool IsInfoSchemaTable(const std::string& name) {
          name == kInfoSchemaColumnStats;
 }
 
-Result<TablePtr> BuildInfoSchemaTable(Catalog& catalog, const std::string& name) {
+namespace {
+
+/// A version of the catalog state every view reflects: the schema version
+/// plus each listed table's name and data version. Any DDL or write moves
+/// it, and rebuilding over unchanged state repeats it.
+uint64_t CatalogStateVersion(const Catalog& catalog) {
+  uint64_t h = HashInt(catalog.schema_version());
+  for (const std::string& tname : catalog.ListTables()) {
+    auto table = catalog.GetTable(tname);
+    if (!table.ok()) continue;
+    h = HashCombine(h, HashString(tname));
+    h = HashCombine(h, HashInt((*table)->data_version()));
+  }
+  return h;
+}
+
+Result<TablePtr> FillInfoSchemaTable(Catalog& catalog, const std::string& name) {
   if (name == kInfoSchemaTables) {
     Schema schema({ColumnDef("table_name", DataType::kString, false, name),
                    ColumnDef("num_rows", DataType::kInt64, false, name),
@@ -70,6 +88,20 @@ Result<TablePtr> BuildInfoSchemaTable(Catalog& catalog, const std::string& name)
     return view;
   }
   return Status::NotFound("no such information_schema table: " + name);
+}
+
+}  // namespace
+
+Result<TablePtr> BuildInfoSchemaTable(Catalog& catalog, const std::string& name) {
+  // A view's own data version would count its appended rows, and scan
+  // fingerprints key on it, so an answer over a view with an unchanged row
+  // count would outlive writes. Stamp the state's version instead, taken
+  // before filling: a write landing mid-build yields a view newer than its
+  // stamp, whose key no later bind repeats.
+  const uint64_t version = CatalogStateVersion(catalog);
+  AF_ASSIGN_OR_RETURN(TablePtr view, FillInfoSchemaTable(catalog, name));
+  view->RestoreDataVersion(version);
+  return view;
 }
 
 }  // namespace agentfirst

@@ -18,8 +18,8 @@ namespace agentfirst {
 /// back, thieves steal FIFO from the front) plus a global injector queue for
 /// tasks submitted from non-pool threads. This is the process-wide scheduler
 /// behind morsel-driven operator parallelism (Leis et al., SIGMOD 2014),
-/// MQO batch execution, and concurrent probe answering — everything draws
-/// from one pool so concurrent layers compose instead of oversubscribing.
+/// probe batches, and concurrent probe answering — everything draws from
+/// one pool so concurrent layers compose instead of oversubscribing.
 ///
 /// Nesting is safe: a task running on a worker may Submit further tasks
 /// (they land on that worker's own deque) and may call ParallelFor. A

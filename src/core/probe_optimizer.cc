@@ -234,21 +234,17 @@ Result<std::vector<ProbeResponse>> ProbeOptimizer::ProcessBatch(
   for (size_t idx : order) PrepareProbe(probes[idx], &tasks[idx]);
 
   // Phase 2: execute admitted queries, one task per probe on the shared
-  // work-stealing pool (a 50-probe speculation batch saturates the machine).
+  // work-stealing pool (a 50-probe speculation batch saturates the machine);
+  // at batch_parallelism 1 the loop runs inline, in admission order.
   // Intra-query morsels nest on the same pool. Shared optimizer state is
   // touched under state_mutex_ inside ExecuteProbe; plan execution itself
   // runs unlocked.
-  size_t par = std::min(options_.batch_parallelism, probes.size());
-  if (par <= 1) {
-    for (size_t idx : order) ExecuteProbe(&tasks[idx]);
-  } else {
-    ThreadPool::Default()->ParallelFor(
-        0, order.size(),
-        [&](size_t begin, size_t end) {
-          for (size_t k = begin; k < end; ++k) ExecuteProbe(&tasks[order[k]]);
-        },
-        /*grain=*/1, par);
-  }
+  ThreadPool::Default()->ParallelFor(
+      0, order.size(),
+      [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) ExecuteProbe(&tasks[order[k]]);
+      },
+      /*grain=*/1, options_.batch_parallelism);
 
   // Phase 3 (serial, admission order): steering, discovery, advisors —
   // these mutate cross-probe state (recent tables, recurrence counters,

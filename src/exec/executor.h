@@ -21,10 +21,10 @@
 namespace agentfirst {
 
 /// Shared materialized-result cache keyed by strict plan fingerprint (plus
-/// the effective sampling rate). The multi-query optimizer executes a batch
-/// of plans through one cache so identical sub-plans run once; scan
-/// fingerprints include the table data version, so writes invalidate
-/// naturally.
+/// the effective sampling rate). The probe optimizer executes every probe
+/// query through one cache, so identical sub-plans run once and a repeated
+/// query reuses its answer; scan fingerprints include the table data
+/// version, so writes invalidate naturally.
 ///
 /// Thread-safe and built for parallel batches: entries are spread over
 /// mutex-striped shards (so concurrent executors don't serialize on one
@@ -74,9 +74,10 @@ class ExecCache {
   // Capacity is a configuration knob read at eviction time, not a counter.
   // aflint:allow(raw-counter)
   std::atomic<size_t> capacity_bytes_;
-  // Per-instance stats (many caches coexist: one per BatchExecutor). The
-  // process-wide totals additionally flow into MetricsRegistry::Default()
-  // under af.exec.cache.* (see executor.cc).
+  // Per-instance stats (caches coexist: one per probe optimizer, plus any a
+  // caller passes in ExecOptions). The process-wide totals additionally
+  // flow into MetricsRegistry::Default() under af.exec.cache.* (see
+  // executor.cc).
   obs::Counter hits_;
   obs::Counter misses_;
   obs::Counter evictions_;
@@ -95,14 +96,15 @@ struct ExecOptions {
   /// rows), keyed by plan fingerprint plus sampling rate and seed.
   /// Truncated results are never cached.
   ExecCache* cache = nullptr;
-  /// Intra-query parallelism cap for the vectorized engine. >1 runs its scan,
-  /// filter, project and hash-join probe morsel-driven on `pool`, merging
-  /// per-morsel output in morsel order so results are byte-identical to
-  /// serial execution. The row path ignores it and always runs serially:
-  /// operators the engine cannot take (see vec::CanVectorize) and
+  /// The threads that the vectorized engine's one batch loop may use in its
+  /// scan, filter, project and hash-join probe; 1 runs the loop inline on
+  /// the caller. Each batch writes its own output slot, so results are
+  /// byte-identical at every count. The row path ignores it and always runs
+  /// serially: operators the engine cannot take (see vec::CanVectorize) and
   /// arena-exhaustion reruns get no intra-query parallelism.
   size_t num_threads = 1;
-  /// Pool for morsel execution; nullptr = ThreadPool::Default(). Not owned.
+  /// Pool the batch loop runs on, at one thread too; nullptr =
+  /// ThreadPool::Default(). Not owned.
   ThreadPool* pool = nullptr;
   /// Unified resource limits (common/limits.h) for this plan execution.
   /// `limits.deadline` is a *relative* wall-clock budget armed when

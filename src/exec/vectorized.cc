@@ -31,8 +31,11 @@ using exec_internal::StampTruncation;
 /// Inputs smaller than this run serially; fan-out costs more than it saves.
 constexpr size_t kMinParallelRows = 2048;
 
-bool UseParallel(const ExecOptions& options, size_t num_rows) {
-  return options.num_threads > 1 && num_rows >= kMinParallelRows;
+/// Threads for a batch loop over `num_rows` input rows.
+size_t LoopThreads(const ExecOptions& options, size_t num_rows) {
+  return options.num_threads > 1 && num_rows >= kMinParallelRows
+             ? options.num_threads
+             : 1;
 }
 
 ThreadPool* PoolFor(const ExecOptions& options) {
@@ -205,7 +208,8 @@ size_t BatchApproxBytes(const VecBatch& b) {
 /// Per-batch output budget accounting shared by scan / filter / join: each
 /// finished batch adds its rows and bytes to the operator's totals, and the
 /// first total past a budget trips the plan, so a trip lands within one
-/// morsel at any thread count.
+/// morsel at any thread count. Counting a drained batch changes nothing:
+/// the plan has already tripped, and its first trip reason sticks.
 struct BatchBudget {
   InterruptCtx& ctx;
   // Budget tripwires local to one operator invocation, not metrics.
@@ -250,6 +254,36 @@ VecColumn ColView(const ColumnVector& col) {
 /// Selection vector meaning "no rows" for batches skipped after a trip
 /// (distinguishes them from untouched batches with sel == nullptr).
 constexpr uint32_t kNoRows[1] = {0};
+
+/// The one batch loop behind the scan, filter, projection and join probe:
+/// runs `body(i)` for every batch i in [0, n), one batch per morsel, on up
+/// to `threads` threads; at one thread it runs inline, in batch order.
+/// Before each batch it checks for interrupts and fires `fault_site`, at
+/// every thread count; once the plan has tripped, no further batch is
+/// claimed, so some may stay unvisited. A false from `body` (arena
+/// exhaustion) trips the plan with ArenaExhausted(), which ExecUncached
+/// answers by rerunning the sub-tree on the row path. A plan already
+/// soft-stopped on entry drains instead: every batch runs, without checks,
+/// because its input is a bounded partial the budget already paid for.
+template <typename Body>
+void ForEachBatch(VecExec& ex, size_t n, size_t threads, const char* fault_site,
+                  Body body) {
+  const bool draining = ex.ctx.soft_stopped();
+  PoolFor(ex.options)->ParallelFor(
+      0, n,
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          if (!draining && (ex.ctx.Check() || ex.ctx.FaultAt(fault_site))) {
+            return;
+          }
+          if (!body(i)) {
+            ex.ctx.TripFault(ArenaExhausted());
+            return;
+          }
+        }
+      },
+      /*grain=*/1, threads, draining ? nullptr : ex.ctx.stop_flag());
+}
 
 // ---------------------------------------------------------------------------
 // Gather: copy chosen cells of source columns into fresh dense arrays. The
@@ -463,14 +497,14 @@ Status ExecVecScan(const PlanNode& node, VecExec& ex, VecResult* out) {
   // The row path's sampler, draw for draw: seeded per table so scans in one
   // plan decorrelate, one Bernoulli draw per stored row in segment order,
   // taken before the filter. The stream runs across segment boundaries, so
-  // sampled scans stay serial.
+  // sampled scans run on one thread.
   Rng rng(ex.options.sample_seed ^ HashString(node.table_name));
   const size_t nseg = table.NumSegments();
   out->batches.assign(nseg, VecBatch{});
   BatchBudget budget(ex.ctx);
-  // One pin per segment, assigned by index (each ParallelFor morsel owns a
-  // disjoint range, so no lock). The whole vector moves into ex.pins after
-  // the scan so the zero-copy views below outlive eviction.
+  // One pin per segment, assigned by index (each morsel owns its segment,
+  // so no lock). The whole vector moves into ex.pins after the scan so the
+  // zero-copy views below outlive eviction.
   storage::PinnedSegments pins(nseg);
   // One batch per storage segment, built zero-copy over the column spans.
   // Returns false on arena exhaustion (only possible with a scan filter or
@@ -512,99 +546,50 @@ Status ExecVecScan(const PlanNode& node, VecExec& ex, VecResult* out) {
     Metrics().vec_batches->Increment();
     return true;
   };
+  ForEachBatch(ex, nseg,
+               sampling ? 1 : LoopThreads(ex.options, table.NumRows()),
+               "exec.scan.morsel", scan_segment);
   // Keeps every pinned segment alive until batches are materialized, even
-  // when this scan exits early on a trip.
-  auto deposit_pins = [&]() {
-    for (storage::SegmentPin& p : pins) {
-      if (p.valid()) ex.pins->push_back(std::move(p));
-    }
-  };
-  if (!sampling && UseParallel(ex.options, table.NumRows()) && nseg > 1) {
-    PoolFor(ex.options)->ParallelFor(
-        0, nseg,
-        [&](size_t begin, size_t end) {
-          for (size_t s = begin; s < end; ++s) {
-            if (ex.ctx.Check() || ex.ctx.FaultAt("exec.scan.morsel")) return;
-            if (!scan_segment(s)) {
-              ex.ctx.TripFault(ArenaExhausted());
-              return;
-            }
-          }
-        },
-        /*grain=*/1, ex.options.num_threads, ex.ctx.stop_flag());
-    deposit_pins();
-    return ex.ctx.TakeError();
+  // when this scan stopped early on a trip.
+  for (storage::SegmentPin& p : pins) {
+    if (p.valid()) ex.pins->push_back(std::move(p));
   }
-  for (size_t s = 0; s < nseg; ++s) {
-    // Same interrupt cadence as the serial row scan: roughly every
-    // kCheckInterval (= one segment's) rows.
-    if (s > 0 && ex.ctx.Check()) break;
-    if (!scan_segment(s)) {
-      deposit_pins();
-      return ArenaExhausted();
-    }
-    if (ex.ctx.stop.load(std::memory_order_relaxed)) break;  // budget trip
-  }
-  deposit_pins();
   return ex.ctx.TakeError();
 }
 
 Status ExecVecFilter(const PlanNode& node, VecExec& ex, VecResult* out) {
   AF_RETURN_IF_ERROR(ExecVecNode(*node.children[0], ex, out));
   BatchBudget budget(ex.ctx);
-  // Drain mode (plan already tripped): narrow every batch serially without
-  // further checks — the input is a bounded partial the budget already paid
-  // for.
-  bool draining = ex.ctx.soft_stopped();
+  std::vector<char> batch_done(out->batches.size(), 0);
   // Narrows one batch's selection in place; false on arena exhaustion.
-  auto filter_batch = [&](VecBatch& b) -> bool {
-    if (b.num_rows == 0) return true;
-    const uint32_t* sel = nullptr;
-    size_t count = 0;
-    if (!EvalPredicateBatch(*node.predicate, b, ex.arena, &sel, &count)) {
-      return false;
+  auto filter_batch = [&](size_t i) -> bool {
+    VecBatch& b = out->batches[i];
+    if (b.num_rows > 0) {
+      const uint32_t* sel = nullptr;
+      size_t count = 0;
+      if (!EvalPredicateBatch(*node.predicate, b, ex.arena, &sel, &count)) {
+        return false;
+      }
+      b.sel = sel;
+      b.sel_size = count;
+      budget.Count(b);
+      Metrics().vec_batches->Increment();
     }
-    b.sel = sel;
-    b.sel_size = count;
-    if (!draining) budget.Count(b);
-    Metrics().vec_batches->Increment();
+    batch_done[i] = 1;
     return true;
   };
-  if (!draining && UseParallel(ex.options, out->TotalActiveRows())) {
-    std::vector<char> batch_done(out->batches.size(), 0);
-    PoolFor(ex.options)->ParallelFor(
-        0, out->batches.size(),
-        [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            if (ex.ctx.Check() || ex.ctx.FaultAt("exec.filter.morsel")) return;
-            if (!filter_batch(out->batches[i])) {
-              ex.ctx.TripFault(ArenaExhausted());
-              return;
-            }
-            batch_done[i] = 1;
-          }
-        },
-        /*grain=*/1, ex.options.num_threads, ex.ctx.stop_flag());
-    // A mid-loop trip leaves morsels unclaimed (ParallelFor stops claiming
-    // once the stop flag is set), and their batches still carry the input
-    // selection — sel == nullptr means *every* row. Sweep every unfiltered
-    // batch to "no rows" so a truncated partial never contains rows the
-    // predicate was not applied to.
-    for (size_t i = 0; i < out->batches.size(); ++i) {
-      if (!batch_done[i]) {
-        out->batches[i].sel = kNoRows;
-        out->batches[i].sel_size = 0;
-      }
-    }
-    return ex.ctx.TakeError();
-  }
+  ForEachBatch(ex, out->batches.size(),
+               LoopThreads(ex.options, out->TotalActiveRows()),
+               "exec.filter.morsel", filter_batch);
+  // A trip leaves batches unvisited, and they still carry the input
+  // selection — sel == nullptr means *every* row. Sweep each to "no rows" so
+  // a truncated partial never contains rows the predicate was not applied
+  // to.
   for (size_t i = 0; i < out->batches.size(); ++i) {
-    if (!draining && i > 0 && ex.ctx.Check()) {
+    if (!batch_done[i]) {
       out->batches[i].sel = kNoRows;
       out->batches[i].sel_size = 0;
-      continue;
     }
-    if (!filter_batch(out->batches[i])) return ArenaExhausted();
   }
   return ex.ctx.TakeError();
 }
@@ -642,34 +627,21 @@ Status ExecVecProject(const PlanNode& node, VecExec& ex, VecResult* out) {
     Metrics().vec_batches->Increment();
     return true;
   };
-  bool draining = ex.ctx.soft_stopped();
-  if (!draining && UseParallel(ex.options, input.TotalActiveRows())) {
-    std::vector<char> batch_done(input.batches.size(), 0);
-    PoolFor(ex.options)->ParallelFor(
-        0, input.batches.size(),
-        [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            if (ex.ctx.Check() || ex.ctx.FaultAt("exec.project.morsel")) return;
-            if (!project_batch(i)) {
-              ex.ctx.TripFault(ArenaExhausted());
-              return;
-            }
-            batch_done[i] = 1;
-          }
-        },
-        /*grain=*/1, ex.options.num_threads, ex.ctx.stop_flag());
-    AF_RETURN_IF_ERROR(ex.ctx.TakeError());
-    // Serial drain of batches skipped by a soft trip: projection output is
-    // complete whenever its input is.
-    for (size_t i = 0; i < input.batches.size(); ++i) {
-      if (!batch_done[i] && !project_batch(i)) return ArenaExhausted();
-    }
-    return Status::OK();
-  }
+  std::vector<char> batch_done(input.batches.size(), 0);
+  ForEachBatch(ex, input.batches.size(),
+               LoopThreads(ex.options, input.TotalActiveRows()),
+               "exec.project.morsel", [&](size_t i) {
+                 if (!project_batch(i)) return false;
+                 batch_done[i] = 1;
+                 return true;
+               });
+  AF_RETURN_IF_ERROR(ex.ctx.TakeError());
+  // Drain the batches a soft trip left unvisited: projection output is
+  // complete whenever its input is.
   for (size_t i = 0; i < input.batches.size(); ++i) {
-    if (!project_batch(i)) return ArenaExhausted();
+    if (!batch_done[i] && !project_batch(i)) return ArenaExhausted();
   }
-  return ex.ctx.TakeError();
+  return Status::OK();
 }
 
 Status ExecVecHashJoin(const PlanNode& node, VecExec& ex, VecResult* out) {
@@ -748,7 +720,6 @@ Status ExecVecHashJoin(const PlanNode& node, VecExec& ex, VecResult* out) {
 
   out->batches.assign(left.batches.size(), VecBatch{});
   BatchBudget budget(ex.ctx);
-  bool draining = ex.ctx.soft_stopped();
 
   // Probes one left batch and materializes its output batch (dense gather,
   // no selection). False on arena exhaustion.
@@ -809,35 +780,14 @@ Status ExecVecHashJoin(const PlanNode& node, VecExec& ex, VecResult* out) {
         return false;
       }
     }
-    // Same drain contract as the filter: input reached after a trip is a
-    // bounded partial the budget already paid for, so don't re-count it.
-    if (!draining) budget.Count(ob);
+    budget.Count(ob);
     Metrics().vec_batches->Increment();
     return true;
   };
 
-  if (!draining && UseParallel(ex.options, left.TotalActiveRows())) {
-    PoolFor(ex.options)->ParallelFor(
-        0, left.batches.size(),
-        [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            if (ex.ctx.Check() || ex.ctx.FaultAt("exec.join.probe.morsel")) {
-              return;
-            }
-            if (!probe_batch(i)) {
-              ex.ctx.TripFault(ArenaExhausted());
-              return;
-            }
-          }
-        },
-        /*grain=*/1, ex.options.num_threads, ex.ctx.stop_flag());
-    return ex.ctx.TakeError();
-  }
-  for (size_t i = 0; i < left.batches.size(); ++i) {
-    if (!draining && i > 0 && ex.ctx.Check()) break;
-    if (!probe_batch(i)) return ArenaExhausted();
-    if (!draining && ex.ctx.stop.load(std::memory_order_relaxed)) break;
-  }
+  ForEachBatch(ex, left.batches.size(),
+               LoopThreads(ex.options, left.TotalActiveRows()),
+               "exec.join.probe.morsel", probe_batch);
   return ex.ctx.TakeError();
 }
 

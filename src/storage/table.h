@@ -116,7 +116,9 @@ class Table {
 
   /// Sets the mutation counter: recovery restores it after a checkpoint load
   /// so version-pinned artifacts (memory store, stats cache) keep matching,
-  /// and Catalog::CreateTable seeds it for a new table.
+  /// Catalog::CreateTable seeds it for a new table, and each
+  /// information_schema view is stamped with a version of the catalog state
+  /// it reflects (its own counter would only count its rows).
   void RestoreDataVersion(uint64_t v) { data_version_ = v; }
 
   /// Builds a table directly from segments (used by branch materialization).

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -220,28 +221,37 @@ TEST_P(FaultToleranceTest, InjectedScanFaultFailsPlanCleanly) {
   EXPECT_FALSE((*healed)->truncated);
 }
 
-TEST_P(FaultToleranceTest, InjectedMorselFaultAbortsParallelScan) {
-  const size_t threads = GetParam();
+// Each batch operator's morsel fault site fires at every thread count, one
+// included, and fails the plan with kAborted; disarmed, the same engine
+// answers in full. Engine::ExecuteSql runs no rewrite rules, so the WHERE
+// stays a Filter node above the scan.
+TEST_P(FaultToleranceTest, InjectedMorselFaultAbortsEachBatchOperator) {
   BuildBig(8192);
+  const std::pair<const char*, const char*> cases[] = {
+      {"exec.scan.morsel", "SELECT id FROM big WHERE id >= 0"},
+      {"exec.filter.morsel", "SELECT id FROM big WHERE id >= 0"},
+      {"exec.project.morsel", "SELECT id + 1 FROM big"},
+      {"exec.join.probe.morsel",
+       "SELECT a.id FROM big a JOIN big b ON a.id = b.id"},
+  };
   FaultRegistry::Global().Enable(/*seed=*/13);
   FaultSpec spec;
   spec.kind = FaultKind::kError;
   spec.probability = 1.0;
   spec.max_fires = 1;
-  FaultRegistry::Global().Arm("exec.scan.morsel", spec);
-
   ExecOptions options;
-  options.num_threads = threads;
-  auto failed = engine_->ExecuteSql("SELECT id FROM big WHERE id >= 0", options);
-  // The parallel path hits the morsel site only when it fans out; the serial
-  // path uses exec.scan.begin instead, so with 1 thread the query succeeds.
-  if (!failed.ok()) {
+  options.num_threads = GetParam();
+  for (const auto& [site, sql] : cases) {
+    SCOPED_TRACE(site);
+    FaultRegistry::Global().Arm(site, spec);
+    auto failed = engine_->ExecuteSql(sql, options);
+    EXPECT_FALSE(failed.ok());
     EXPECT_EQ(failed.status().code(), StatusCode::kAborted);
+    FaultRegistry::Global().ClearArmed();
+    auto healed = engine_->ExecuteSql(sql, options);
+    AF_ASSERT_OK_RESULT(healed);
+    EXPECT_EQ((*healed)->NumRows(), 8192u);
   }
-  FaultRegistry::Global().ClearArmed();
-  auto healed = engine_->ExecuteSql("SELECT id FROM big WHERE id >= 0", options);
-  AF_ASSERT_OK_RESULT(healed);
-  EXPECT_EQ((*healed)->NumRows(), 8192u);
 }
 
 TEST_P(FaultToleranceTest, LatencyFaultDelaysButCompletes) {

@@ -8,8 +8,8 @@
 #include <functional>
 
 #include "common/rng.h"
+#include "exec/executor.h"
 #include "gtest/gtest.h"
-#include "opt/mqo.h"
 #include "opt/rules.h"
 #include "plan/binder.h"
 #include "sql/parser.h"
@@ -121,7 +121,9 @@ class FuzzSqlTest : public testing_util::PeopleDbTest,
 
 TEST_P(FuzzSqlTest, PipelineProperties) {
   QueryGenerator generator(GetParam());
-  BatchExecutor shared_batch;
+  ExecCache shared_cache;
+  ExecOptions cached_options;
+  cached_options.cache = &shared_cache;
   for (int i = 0; i < 60; ++i) {
     std::string sql = generator.Generate();
     SCOPED_TRACE(sql);
@@ -156,9 +158,9 @@ TEST_P(FuzzSqlTest, PipelineProperties) {
     }
 
     // (c) Shared-cache execution equals direct execution.
-    auto cached = shared_batch.ExecuteBatch({optimized});
-    ASSERT_TRUE(cached[0].ok());
-    EXPECT_EQ(Serialize(**opt), Serialize(**cached[0]));
+    auto cached = ExecutePlan(*optimized, cached_options);
+    ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+    EXPECT_EQ(Serialize(**opt), Serialize(**cached));
   }
 }
 

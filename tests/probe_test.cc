@@ -158,6 +158,46 @@ TEST_F(ProbeTest, RecreatedTableMissesTheAnswerCache) {
   EXPECT_EQ(second.answers[0].result->rows[0][0].int_value(), 1000);
 }
 
+// information_schema views are rebuilt at every bind, and the answer cache
+// keys on a view's data version. A write must move that version even when
+// it leaves the view's row count alone, and an unchanged catalog must keep
+// it so the answer is still reused.
+TEST_F(ProbeTest, InfoSchemaAnswersFollowWrites) {
+  ASSERT_TRUE(system_->ExecuteSql("CREATE TABLE t (x BIGINT)").ok());
+  ASSERT_TRUE(system_->ExecuteSql("INSERT INTO t VALUES (1)").ok());
+  // The first column of the view's row for table t, or -1 when absent.
+  auto value_for_t = [](const ProbeResponse& r) -> int64_t {
+    const QueryAnswer& a = r.answers[0];
+    if (!a.status.ok()) return -1;
+    for (const Row& row : a.result->rows) {
+      if (row[1].string_value() == "t") return row[0].int_value();
+    }
+    return -1;
+  };
+  Probe tables;
+  tables.queries = {
+      "SELECT num_rows, table_name FROM information_schema.tables"};
+  tables.brief.text = "verify exactly";
+  EXPECT_EQ(value_for_t(Handle(tables)), 1);
+  ASSERT_TRUE(system_->ExecuteSql("INSERT INTO t VALUES (2)").ok());
+  ProbeResponse after_write = Handle(tables);
+  EXPECT_EQ(value_for_t(after_write), 2);
+  EXPECT_FALSE(after_write.answers[0].from_memory);
+  ProbeResponse unchanged = Handle(tables);
+  EXPECT_EQ(value_for_t(unchanged), 2);
+  EXPECT_TRUE(unchanged.answers[0].from_memory);
+
+  Probe stats;
+  stats.queries = {
+      "SELECT num_distinct, table_name FROM information_schema.column_stats"};
+  stats.brief.text = "verify exactly";
+  EXPECT_EQ(value_for_t(Handle(stats)), 2);
+  ASSERT_TRUE(system_->ExecuteSql("INSERT INTO t VALUES (3)").ok());
+  ProbeResponse new_value = Handle(stats);
+  EXPECT_EQ(value_for_t(new_value), 3);
+  EXPECT_FALSE(new_value.answers[0].from_memory);
+}
+
 TEST_F(ProbeTest, KofNSatisficingSkipsQueries) {
   Probe probe;
   probe.queries = {"SELECT count(*) FROM people WHERE city = 'berkeley'",

@@ -31,7 +31,9 @@
 #                       AddressSanitizer via tools/run_sanitized.sh: every
 #                       injected crash site must recover to a committed
 #                       prefix with no leaks or heap errors on the
-#                       error/recovery paths
+#                       error/recovery paths; fault_tolerance_test adds
+#                       morsel faults that stop a scan mid-loop while
+#                       segment pins and arena blocks are live
 #   9. fleet smoke    — a 4-loop TSan afserved with admission quotas and
 #                       token auth armed: authenticated pipelined smoke via
 #                       afprobe, a rejected bad-token connect, then the
@@ -178,7 +180,10 @@ if [[ "$run_tests" == "1" ]]; then
   # detection. The crash sites exercise every error/cleanup path in the
   # writer, checkpointer, and recoverer; ASan proves those paths release
   # what they allocate even when the "disk" fails mid-operation.
-  tools/run_sanitized.sh address wal_test
+  # fault_tolerance_test's morsel faults stop a vectorized operator mid-loop
+  # at every thread count, one included, with segment pins and arena blocks
+  # live.
+  tools/run_sanitized.sh address 'wal_test|fault_tolerance_test'
 else
   echo "=== [8/10] durability torture skipped (--no-tests) ==="
 fi
