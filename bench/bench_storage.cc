@@ -12,7 +12,9 @@
 //      file.
 //   2. Fault latency: per-Pin() wall time for pins that miss (segment must
 //      be decoded from the page file), reported as p50/p99 — the latency an
-//      agent's first query pays after its working set went cold.
+//      agent's first query pays after its working set went cold — and split
+//      by the store's fault ledger into mean read, CRC verify and decode
+//      time per fault.
 //
 // --quick is the CI smoke mode (tools/check.sh): a small table, and the run
 // asserts (exit 1) that 10%-residency answers are byte-identical to fully
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -62,6 +65,12 @@ std::string BenchDir(const std::string& leaf) {
 
 uint64_t FaultsNow() {
   return obs::MetricsRegistry::Default().GetCounter("af.storage.faults")->value();
+}
+
+/// One fault-ledger histogram (af.storage.fault_<stage>_us).
+obs::Histogram* LedgerHistogram(const char* stage) {
+  return obs::MetricsRegistry::Default().GetHistogram(
+      std::string("af.storage.fault_") + stage + "_us");
 }
 
 /// Builds the fact table (deterministic) into `catalog`; segments are small
@@ -150,10 +159,14 @@ ResidencyResult MeasureResidency(double residency, size_t rows) {
   return out;
 }
 
+constexpr const char* kLedgerStages[] = {"read", "verify", "decode"};
+constexpr size_t kNumStages = std::size(kLedgerStages);
+
 struct FaultLatency {
   double p50_us = 0.0;
   double p99_us = 0.0;
   size_t samples = 0;
+  double stage_us[kNumStages] = {};  // mean per fault, kLedgerStages order
 };
 
 /// Sequentially sweeps a frame set much larger than the budget, so almost
@@ -177,6 +190,12 @@ FaultLatency MeasureFaultLatency(size_t rows) {
     }
     frames.push_back((*pool)->Register(std::move(seg)));
   }
+  uint64_t ledger_sum[kNumStages] = {};
+  uint64_t ledger_count[kNumStages] = {};
+  for (size_t i = 0; i < kNumStages; ++i) {
+    ledger_sum[i] = LedgerHistogram(kLedgerStages[i])->sum();
+    ledger_count[i] = LedgerHistogram(kLedgerStages[i])->count();
+  }
   std::vector<double> lat_us;
   for (int pass = 0; pass < 3; ++pass) {
     for (uint64_t frame : frames) {
@@ -194,6 +213,11 @@ FaultLatency MeasureFaultLatency(size_t rows) {
   out.samples = lat_us.size();
   out.p50_us = lat_us[lat_us.size() / 2];
   out.p99_us = lat_us[std::min(lat_us.size() - 1, lat_us.size() * 99 / 100)];
+  for (size_t i = 0; i < kNumStages; ++i) {
+    const obs::Histogram* h = LedgerHistogram(kLedgerStages[i]);
+    const uint64_t n = h->count() - ledger_count[i];
+    if (n > 0) out.stage_us[i] = static_cast<double>(h->sum() - ledger_sum[i]) / n;
+  }
   for (uint64_t f : frames) (*pool)->Unregister(f);
   return out;
 }
@@ -227,8 +251,10 @@ int Run(bool quick, const char* json_path) {
   bench::PrintTable({"residency", "budget_bytes", "ms", "Mrows/s", "faults"},
                     table_rows);
   std::printf("\nFault latency (page-file miss -> decoded segment):\n");
-  std::printf("  p50 %.1f us   p99 %.1f us   (%zu faults)\n\n", faults.p50_us,
+  std::printf("  p50 %.1f us   p99 %.1f us   (%zu faults)\n", faults.p50_us,
               faults.p99_us, faults.samples);
+  std::printf("  mean per fault: read %.1f us, verify %.1f us, decode %.1f us\n\n",
+              faults.stage_us[0], faults.stage_us[1], faults.stage_us[2]);
 
   // The acceptance gate: starved residency changes nothing but speed.
   if (results[2].digest != results[0].digest) {
@@ -261,7 +287,13 @@ int Run(bool quick, const char* json_path) {
     out << "],\n";
     out << "  \"fault_latency_us\": {\"p50\": " << bench::Num(faults.p50_us, 1)
         << ", \"p99\": " << bench::Num(faults.p99_us, 1)
-        << ", \"samples\": " << faults.samples << "}\n}";
+        << ", \"samples\": " << faults.samples << "},\n";
+    out << "  \"fault_split_us\": {";
+    for (size_t i = 0; i < kNumStages; ++i) {
+      out << (i ? ", " : "") << "\"" << kLedgerStages[i]
+          << "\": " << bench::Num(faults.stage_us[i], 1);
+    }
+    out << "}\n}";
     if (!bench::UpdateBenchJson(json_path, "bench_storage", out.str())) {
       std::fprintf(stderr, "cannot write %s\n", json_path);
       return 1;

@@ -29,6 +29,10 @@ class ByteWriter {
   void Bool(bool v) { U8(v ? 1 : 0); }
   /// u32 byte length + raw bytes.
   void Str(std::string_view s);
+  /// Raw bytes, no length prefix (already-encoded payloads).
+  void Raw(std::string_view s) { buf_.append(s.data(), s.size()); }
+  /// Pre-sizes the buffer for a payload of known length.
+  void Reserve(size_t n) { buf_.reserve(n); }
 
   const std::string& buffer() const { return buf_; }
   std::string Take() { return std::move(buf_); }
@@ -73,9 +77,11 @@ class ByteReader {
 };
 
 /// CRC32C (Castagnoli, the polynomial used by iSCSI, ext4, and most WAL
-/// formats) over `data`, software table-driven. Deterministic across
-/// platforms; used to frame WAL records and checkpoint payloads so torn or
-/// bit-flipped tails are detected, never replayed.
+/// formats) over `data`, in portable software: slicing-by-8, eight bytes per
+/// step through eight 256-entry tables, with a bytewise tail. Deterministic
+/// across platforms. This one kernel checks every durable byte: WAL records
+/// and checkpoint payloads (so torn or bit-flipped tails are detected, never
+/// replayed) and segment pages (verified on every buffer-pool fault).
 uint32_t Crc32c(std::string_view data);
 /// Incremental form: feed `crc` the previous return value (start with 0).
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n);

@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "obs/metrics.h"
 
@@ -33,6 +34,11 @@ obs::Counter* WriteBackErrorsCounter() {
   static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
       "af.storage.write_back_errors");
   return c;
+}
+obs::Histogram* PinWaitHistogram() {
+  static obs::Histogram* h =
+      obs::MetricsRegistry::Default().GetHistogram("af.storage.pin_wait_us");
+  return h;
 }
 obs::Gauge* ResidentBytesGauge() {
   static obs::Gauge* g =
@@ -95,9 +101,16 @@ Result<SegmentPin> BufferPool::Pin(uint64_t frame) {
     }
     Frame& f = it->second;
     if (f.loading) {
+      // Another thread is faulting this frame in; the wait is part of what
+      // a fault costs its concurrent readers (the reader convoy).
+      const auto wait_start = std::chrono::steady_clock::now();
       load_cv_.Wait(mutex_, [this, &f]() AF_REQUIRES(mutex_) {
         return !f.loading;
       });
+      PinWaitHistogram()->Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - wait_start)
+              .count()));
     }
     if (f.seg) {
       ++f.pins;

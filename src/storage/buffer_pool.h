@@ -126,8 +126,9 @@ class BufferPool {
   void Unregister(uint64_t frame) AF_EXCLUDES(mutex_);
 
   /// Returns a pinned reference to the frame's segment, faulting it in from
-  /// the page file if evicted. Fails only on IO errors (io.page.read) or an
-  /// unknown frame id.
+  /// the page file if evicted. A pin that finds another thread faulting the
+  /// same frame waits for it and records the wait in af.storage.pin_wait_us.
+  /// Fails only on IO errors (io.page.read) or an unknown frame id.
   Result<SegmentPin> Pin(uint64_t frame) AF_EXCLUDES(mutex_);
 
   /// Records that the segment was mutated through a pin: re-measures its

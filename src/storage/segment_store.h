@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -43,8 +44,9 @@ class SegmentStore {
   /// Serializes `seg` and writes it to a fresh or recycled extent.
   Result<PageId> Write(const Segment& seg) AF_EXCLUDES(mutex_);
 
-  /// Reads and decodes the page at `id`. Fails (never UB) on a bad CRC or
-  /// malformed body.
+  /// Reads, verifies and decodes the page at `id`. Fails (never UB) on a bad
+  /// CRC or malformed body. A successful read records its read, CRC and
+  /// decode time in af.storage.fault_{read,verify,decode}_us.
   Result<std::shared_ptr<Segment>> Read(const PageId& id) const;
 
   /// Returns `id`'s extent to the free list for reuse.
@@ -59,7 +61,7 @@ class SegmentStore {
 
   /// Encoder/decoder for one segment body (no frame). Exposed for tests.
   static std::string EncodeSegment(const Segment& seg);
-  static Result<std::shared_ptr<Segment>> DecodeSegment(const std::string& body);
+  static Result<std::shared_ptr<Segment>> DecodeSegment(std::string_view body);
 
  private:
   explicit SegmentStore(io::File file) : file_(std::move(file)) {}

@@ -3,7 +3,8 @@
 
 namespace agentfirst {
 
-/// Physical value types supported by the engine.
+/// Physical value types supported by the engine. The order is Value's variant
+/// index (types/value.h), and page and checkpoint bytes store these tags.
 enum class DataType {
   kNull = 0,   // type of the untyped NULL literal
   kBool,

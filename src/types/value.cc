@@ -9,7 +9,7 @@
 namespace agentfirst {
 
 double Value::AsDouble() const {
-  switch (type_) {
+  switch (type()) {
     case DataType::kInt64:
       return static_cast<double>(std::get<int64_t>(data_));
     case DataType::kFloat64:
@@ -22,7 +22,7 @@ double Value::AsDouble() const {
 }
 
 int64_t Value::AsInt() const {
-  switch (type_) {
+  switch (type()) {
     case DataType::kInt64:
       return std::get<int64_t>(data_);
     case DataType::kFloat64:
@@ -36,14 +36,14 @@ int64_t Value::AsInt() const {
 
 bool Value::Equals(const Value& other) const {
   if (is_null() || other.is_null()) return is_null() && other.is_null();
-  if (IsNumeric(type_) && IsNumeric(other.type_)) {
-    if (type_ == DataType::kInt64 && other.type_ == DataType::kInt64) {
+  if (IsNumeric(type()) && IsNumeric(other.type())) {
+    if (type() == DataType::kInt64 && other.type() == DataType::kInt64) {
       return int_value() == other.int_value();
     }
     return AsDouble() == other.AsDouble();
   }
-  if (type_ != other.type_) return false;
-  switch (type_) {
+  if (type() != other.type()) return false;
+  switch (type()) {
     case DataType::kBool:
       return bool_value() == other.bool_value();
     case DataType::kString:
@@ -72,10 +72,10 @@ int TypeRank(DataType t) {
 }  // namespace
 
 int Value::Compare(const Value& other) const {
-  int ra = TypeRank(type_);
-  int rb = TypeRank(other.type_);
+  int ra = TypeRank(type());
+  int rb = TypeRank(other.type());
   if (ra != rb) return ra < rb ? -1 : 1;
-  switch (type_) {
+  switch (type()) {
     case DataType::kNull:
       return 0;
     case DataType::kBool: {
@@ -85,7 +85,7 @@ int Value::Compare(const Value& other) const {
     }
     case DataType::kInt64:
     case DataType::kFloat64: {
-      if (type_ == DataType::kInt64 && other.type_ == DataType::kInt64) {
+      if (type() == DataType::kInt64 && other.type() == DataType::kInt64) {
         int64_t a = int_value();
         int64_t b = other.int_value();
         return a < b ? -1 : (a > b ? 1 : 0);
@@ -103,7 +103,7 @@ int Value::Compare(const Value& other) const {
 }
 
 uint64_t Value::Hash() const {
-  switch (type_) {
+  switch (type()) {
     case DataType::kNull:
       return 0x5261474e554c4cULL;  // arbitrary NULL tag
     case DataType::kBool:
@@ -121,7 +121,7 @@ uint64_t Value::Hash() const {
 }
 
 std::string Value::ToString() const {
-  switch (type_) {
+  switch (type()) {
     case DataType::kNull:
       return "NULL";
     case DataType::kBool:
@@ -137,7 +137,7 @@ std::string Value::ToString() const {
 }
 
 std::string Value::ToSqlLiteral() const {
-  if (type_ == DataType::kString) {
+  if (type() == DataType::kString) {
     std::string out = "'";
     for (char c : string_value()) {
       if (c == '\'') out += "''";

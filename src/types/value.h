@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -20,18 +22,18 @@ namespace agentfirst {
 class Value {
  public:
   /// Constructs SQL NULL.
-  Value() : type_(DataType::kNull) {}
+  Value() = default;
 
   static Value Null() { return Value(); }
-  static Value Bool(bool v) { return Value(DataType::kBool, v); }
-  static Value Int(int64_t v) { return Value(DataType::kInt64, v); }
-  static Value Double(double v) { return Value(DataType::kFloat64, v); }
+  static Value Bool(bool v) { return Value(std::in_place_type<bool>, v); }
+  static Value Int(int64_t v) { return Value(std::in_place_type<int64_t>, v); }
+  static Value Double(double v) { return Value(std::in_place_type<double>, v); }
   static Value String(std::string v) {
-    return Value(DataType::kString, std::move(v));
+    return Value(std::in_place_type<std::string>, std::move(v));
   }
 
-  DataType type() const { return type_; }
-  bool is_null() const { return type_ == DataType::kNull; }
+  DataType type() const { return static_cast<DataType>(data_.index()); }
+  bool is_null() const { return type() == DataType::kNull; }
 
   /// Typed accessors; calling the wrong one is a programming error (checked
   /// by std::get in debug via exceptions disabled -> use only after type()).
@@ -67,10 +69,21 @@ class Value {
 
  private:
   template <typename T>
-  Value(DataType t, T v) : type_(t), data_(std::move(v)) {}
+  Value(std::in_place_type_t<T> tag, T v) : data_(tag, std::move(v)) {}
 
-  DataType type_;
-  std::variant<std::monostate, bool, int64_t, double, std::string> data_;
+  /// The alternatives are listed in DataType order, so the active index is
+  /// the type and a Value carries no separate type tag (40 bytes, not 48).
+  using Storage = std::variant<std::monostate, bool, int64_t, double, std::string>;
+  template <DataType t>
+  using Alternative = std::variant_alternative_t<static_cast<size_t>(t), Storage>;
+  static_assert(std::is_same_v<Alternative<DataType::kNull>, std::monostate> &&
+                    std::is_same_v<Alternative<DataType::kBool>, bool> &&
+                    std::is_same_v<Alternative<DataType::kInt64>, int64_t> &&
+                    std::is_same_v<Alternative<DataType::kFloat64>, double> &&
+                    std::is_same_v<Alternative<DataType::kString>, std::string>,
+                "Value's variant must list its alternatives in DataType order");
+
+  Storage data_;
 };
 
 /// A materialized tuple.

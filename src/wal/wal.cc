@@ -39,23 +39,23 @@ obs::Counter* ErrorsCounter() {
   return c;
 }
 
-/// Frames one record: len | crc | (type, lsn, body).
+/// Frames one record: len | crc | (type, lsn, body). The CRC runs over the
+/// caller's body where it lies, and the frame is built in one reserved
+/// buffer, so the body is copied once.
 std::string EncodeFrame(WalRecordType type, uint64_t lsn,
                         std::string_view body) {
-  ByteWriter payload;
-  payload.U8(static_cast<uint8_t>(type));
-  payload.U64(lsn);
-  // Body bytes are appended raw (already encoded by the caller).
-  std::string frame;
-  frame.reserve(8 + payload.size() + body.size());
   ByteWriter head;
-  std::string payload_bytes = payload.Take();
-  payload_bytes.append(body.data(), body.size());
-  head.U32(static_cast<uint32_t>(payload_bytes.size()));
-  head.U32(Crc32c(payload_bytes));
-  frame = head.Take();
-  frame += payload_bytes;
-  return frame;
+  head.U8(static_cast<uint8_t>(type));
+  head.U64(lsn);
+  const std::string& prefix = head.buffer();
+  const uint32_t len = static_cast<uint32_t>(prefix.size() + body.size());
+  ByteWriter frame;
+  frame.Reserve(8 + static_cast<size_t>(len));
+  frame.U32(len);
+  frame.U32(Crc32cExtend(Crc32c(prefix), body.data(), body.size()));
+  frame.Raw(prefix);
+  frame.Raw(body);
+  return frame.Take();
 }
 
 }  // namespace

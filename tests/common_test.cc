@@ -2,10 +2,12 @@
 #include <atomic>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/bytes.h"
 #include "common/cancellation.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
@@ -14,6 +16,8 @@
 #include "common/status.h"
 #include "common/str_util.h"
 #include "gtest/gtest.h"
+#include "wal/checkpoint.h"
+#include "wal/wal.h"
 
 namespace agentfirst {
 namespace {
@@ -357,6 +361,134 @@ TEST(HashTest, Mix64Bijective) {
   std::set<uint64_t> outs;
   for (uint64_t i = 0; i < 1000; ++i) outs.insert(Mix64(i));
   EXPECT_EQ(outs.size(), 1000u);
+}
+
+// ---------------------------------------------------------------------------
+// CRC32C: the one kernel behind WAL frames, checkpoints and page frames
+// ---------------------------------------------------------------------------
+
+/// Table-free, bit-at-a-time reference for the Castagnoli CRC (reflected
+/// polynomial 0x82F63B78), independent of the kernel's tables.
+uint32_t ReferenceCrc32c(const uint8_t* p, size_t n) {
+  uint32_t crc = ~0u;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(Crc32cTest, KnownCheckValues) {
+  // RFC 3720 (iSCSI) check value and its appendix B.4 vectors.
+  EXPECT_EQ(Crc32c("123456789"), 0xE3069283u);
+  EXPECT_EQ(Crc32c(""), 0u);
+  std::string zeros(32, '\0'), ones(32, '\xff'), up(32, '\0'), down(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  EXPECT_EQ(Crc32c(zeros), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(ones), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(up), 0x46DD794Eu);
+  EXPECT_EQ(Crc32c(down), 0x113FDB5Cu);
+}
+
+TEST(Crc32cTest, MatchesBytewiseReferenceAtEverySplitAndOffset) {
+  Rng rng(3720);
+  std::vector<uint8_t> buf(300 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextUint(256));
+  // Every start offset within a word, so the 8-byte steps run unaligned.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* p = buf.data() + offset;
+    for (size_t len = 0; len <= 300; ++len) {
+      const uint32_t want = ReferenceCrc32c(p, len);
+      ASSERT_EQ(Crc32c(std::string_view(reinterpret_cast<const char*>(p), len)), want)
+          << "offset " << offset << " len " << len;
+      // Incremental use splits a buffer anywhere, including mid-step.
+      for (size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(Crc32cExtend(Crc32cExtend(0, p, split), p + split, len - split), want)
+            << "offset " << offset << " len " << len << " split " << split;
+      }
+    }
+  }
+}
+
+// Bytes written by the bytewise kernel this one replaced: a WAL with two
+// frames (lsn 41 kDropTable "t"; lsn 42 kMemoryRemove with a 39-byte body) and
+// a checkpoint at lsn 7 of one table t(id BIGINT, name VARCHAR) holding
+// (1, 'castagnoli') and (2, NULL). The formats and their CRCs must not move.
+constexpr std::string_view kGoldenWalHex =
+    "4146574c010000000a000000a3b1c56002290000000000000074300000003542"
+    "be3a0a2a00000000000000736c6963696e672d62792d3820666f6c6473206569"
+    "676874206279746573207065722073746570";
+constexpr std::string_view kGoldenCheckpointHex =
+    "4146434b0100000085000000000000000a128e8c070000000000000001000000"
+    "0000000001000000010000007402000000020000006964020001000000740400"
+    "00006e616d650401010000007404000000000000000200000000000000020000"
+    "0002000000020100000000000000040a0000006361737461676e6f6c69020000"
+    "00020200000000000000000000000000000000000000000000";
+
+TEST(Crc32cTest, GoldenWalFramesStillVerify) {
+  const std::string image = FromHex(kGoldenWalHex);
+  ASSERT_EQ(image.size(), 82u);
+  wal::WalReadStats stats;
+  auto records = wal::ReadWalImage(image, &stats);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 2u);
+  EXPECT_EQ(stats.torn_bytes, 0u);
+  EXPECT_EQ((*records)[0].type, wal::WalRecordType::kDropTable);
+  EXPECT_EQ((*records)[0].lsn, 41u);
+  EXPECT_EQ((*records)[0].body, "t");
+  EXPECT_EQ((*records)[1].type, wal::WalRecordType::kMemoryRemove);
+  EXPECT_EQ((*records)[1].lsn, 42u);
+  EXPECT_EQ((*records)[1].body, "slicing-by-8 folds eight bytes per step");
+  // The kernel reproduces the stored frame CRC (frame 2 starts at byte 26).
+  EXPECT_EQ(Crc32c(std::string_view(image).substr(34, 48)), 0x3ABE4235u);
+}
+
+TEST(Crc32cTest, GoldenCheckpointStillDecodes) {
+  const std::string image = FromHex(kGoldenCheckpointHex);
+  ASSERT_EQ(image.size(), 153u);
+  auto data = wal::DecodeCheckpoint(image);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(data->lsn, 7u);
+  ASSERT_EQ(data->tables.size(), 1u);
+  const wal::CheckpointTable& t = data->tables[0];
+  EXPECT_EQ(t.name, "t");
+  ASSERT_EQ(t.rows.size(), 2u);
+  EXPECT_EQ(t.rows[0][0].int_value(), 1);
+  EXPECT_EQ(t.rows[0][1].string_value(), "castagnoli");
+  EXPECT_EQ(t.rows[1][0].int_value(), 2);
+  EXPECT_TRUE(t.rows[1][1].is_null());
+  EXPECT_EQ(Crc32c(std::string_view(image).substr(20)), 0x8C8E120Au);
+}
+
+TEST(Crc32cTest, EveryOneBitFlipIsRejected) {
+  const std::string wal_image = FromHex(kGoldenWalHex);
+  for (size_t bit = 0; bit < wal_image.size() * 8; ++bit) {
+    std::string flipped = wal_image;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    auto records = wal::ReadWalImage(flipped, nullptr);
+    // A flip ends the verified prefix at the damaged frame (or fails the
+    // header): both frames are never returned.
+    EXPECT_TRUE(!records.ok() || records->size() < 2) << "bit " << bit;
+  }
+  const std::string ckpt_image = FromHex(kGoldenCheckpointHex);
+  for (size_t bit = 0; bit < ckpt_image.size() * 8; ++bit) {
+    std::string flipped = ckpt_image;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_FALSE(wal::DecodeCheckpoint(flipped).ok()) << "bit " << bit;
+  }
 }
 
 // ---------------------------------------------------------------------------

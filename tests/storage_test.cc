@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "core/system.h"
 #include "exec/engine.h"
 #include "gtest/gtest.h"
@@ -352,6 +353,87 @@ TEST(BufferPoolTest, EvictFaultRoundTripByteIdentity) {
       faults_before);
   for (uint64_t f : frames) (*pool)->Unregister(f);
   EXPECT_EQ((*pool)->ResidentBytes(), 0u);
+}
+
+// The fault ledger splits each fault into read, CRC verify and decode time:
+// one sample per fault in each histogram, and no pin waits when one thread
+// faults alone.
+TEST(BufferPoolTest, FaultLedgerRecordsOneSamplePerFault) {
+  std::string dir = StorageTempDir("pool_ledger");
+  storage::StorageOptions opts;
+  opts.dir = dir;
+  opts.max_table_bytes = 1;  // evict everything unpinned
+  auto pool = storage::BufferPool::Open(opts);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  std::vector<uint64_t> frames;
+  for (int i = 0; i < 5; ++i) {
+    frames.push_back((*pool)->Register(MakeAllTypesSegment(20 + i)));
+  }
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const char* kLedger[] = {"af.storage.fault_read_us",
+                           "af.storage.fault_verify_us",
+                           "af.storage.fault_decode_us"};
+  std::vector<uint64_t> before;
+  for (const char* name : kLedger) before.push_back(reg.GetHistogram(name)->count());
+  const uint64_t waits_before = reg.GetHistogram("af.storage.pin_wait_us")->count();
+  const uint64_t faults_before = reg.GetCounter("af.storage.faults")->value();
+  for (uint64_t f : frames) {
+    ASSERT_FALSE((*pool)->FrameResident(f));
+    auto pin = (*pool)->Pin(f);
+    ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+  }
+  const uint64_t faults = reg.GetCounter("af.storage.faults")->value() - faults_before;
+  EXPECT_EQ(faults, frames.size());
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(reg.GetHistogram(kLedger[i])->count() - before[i], faults)
+        << kLedger[i];
+  }
+  EXPECT_EQ(reg.GetHistogram("af.storage.pin_wait_us")->count(), waits_before);
+  for (uint64_t f : frames) (*pool)->Unregister(f);
+}
+
+// A pin that finds another thread faulting the same frame waits for that
+// fault instead of faulting again, and the wait lands in
+// af.storage.pin_wait_us. The first fault's page read is slowed so the second
+// pin reliably arrives while it is in flight.
+TEST(BufferPoolTest, PinWaitOnInFlightFaultIsRecorded) {
+  std::string dir = StorageTempDir("pool_pin_wait");
+  storage::StorageOptions opts;
+  opts.dir = dir;
+  opts.max_table_bytes = 1;
+  auto pool = storage::BufferPool::Open(opts);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  const uint64_t frame = (*pool)->Register(MakeAllTypesSegment(30));
+  ASSERT_FALSE((*pool)->FrameResident(frame));
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  obs::Histogram* waits = reg.GetHistogram("af.storage.pin_wait_us");
+  const uint64_t waits_before = waits->count();
+  const uint64_t wait_sum_before = waits->sum();
+  const uint64_t faults_before = reg.GetCounter("af.storage.faults")->value();
+
+  FaultRegistry& faults = FaultRegistry::Global();
+  faults.Enable(/*seed=*/29);
+  FaultSpec slow;
+  slow.kind = FaultKind::kLatency;
+  slow.latency_ms = 300;
+  slow.max_fires = 1;
+  faults.Arm("io.page.read", slow);
+  // aflint:allow(raw-thread) the faulting pin must run beside this thread.
+  std::thread first([&]() { EXPECT_TRUE((*pool)->Pin(frame).ok()); });
+  while (faults.hits("io.page.read") == 0) std::this_thread::yield();
+  auto second = (*pool)->Pin(frame);
+  first.join();
+  faults.Disable();
+  faults.ClearArmed();
+
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(reg.GetCounter("af.storage.faults")->value() - faults_before, 1u);
+  ASSERT_EQ(waits->count() - waits_before, 1u);
+  EXPECT_GT(waits->sum() - wait_sum_before, 0u);
+  second = storage::SegmentPin();
+  (*pool)->Unregister(frame);
 }
 
 TEST(BufferPoolTest, DirtyWriteBackSurvivesEviction) {

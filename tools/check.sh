@@ -33,7 +33,11 @@
 #                       prefix with no leaks or heap errors on the
 #                       error/recovery paths; fault_tolerance_test adds
 #                       morsel faults that stop a scan mid-loop while
-#                       segment pins and arena blocks are live
+#                       segment pins and arena blocks are live;
+#                       common_test runs the CRC32C kernel against a
+#                       bytewise reference at every length, split point
+#                       and unaligned offset, so its 8-byte loads stay in
+#                       bounds
 #   9. fleet smoke    — a 4-loop TSan afserved with admission quotas and
 #                       token auth armed: authenticated pipelined smoke via
 #                       afprobe, a rejected bad-token connect, then the
@@ -182,8 +186,10 @@ if [[ "$run_tests" == "1" ]]; then
   # what they allocate even when the "disk" fails mid-operation.
   # fault_tolerance_test's morsel faults stop a vectorized operator mid-loop
   # at every thread count, one included, with segment pins and arena blocks
-  # live.
-  tools/run_sanitized.sh address 'wal_test|fault_tolerance_test'
+  # live. common_test's CRC32C property test walks the slicing-by-8 kernel
+  # over every length 0-300 at every split point and unaligned offset: the
+  # checksum that guards WAL frames, checkpoints and pages.
+  tools/run_sanitized.sh address 'wal_test|fault_tolerance_test|common_test'
 else
   echo "=== [8/10] durability torture skipped (--no-tests) ==="
 fi
